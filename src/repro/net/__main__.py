@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=512)
     serve.add_argument("--max-queue-depth", type=int, default=64)
     serve.add_argument("--max-inflight", type=int, default=128)
-    serve.add_argument("--max-batch", type=int, default=16)
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-job wall budget handed to the pool")
     serve.add_argument("--retry-after", type=float, default=1.0,
@@ -118,7 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             shards=shards,
             max_queue_depth=args.max_queue_depth,
             max_inflight=args.max_inflight,
-            max_batch=args.max_batch,
             retry_after_s=args.retry_after,
             timeout_s=args.timeout,
             breaker_threshold=args.breaker_threshold,

@@ -5,11 +5,12 @@ sockets — accepting connections, parsing HTTP/1.1, and writing responses —
 while a single *engine thread* owns the :class:`~repro.service.runner.
 PlanningService` (and through it the cache tier and the multiprocessing
 worker pool).  Handlers hand admitted requests to the engine as
-``(PlanRequest, Future)`` pairs; the engine drains the intake queue into
-micro-batches of :meth:`PlanningService.run_batch` and resolves the
-futures, which the handlers ``await`` without blocking the loop.  The
-service object is therefore touched by exactly one thread — the same
-single-owner discipline the worker pool applies to its pipes.
+``(PlanRequest, Future)`` pairs; the engine admits each one into the
+service's continuous admit/settle loop the moment it arrives and resolves
+its future when the job settles, which the handlers ``await`` without
+blocking the loop.  The service object is therefore touched by exactly
+one thread — the same single-owner discipline the worker pool applies to
+its pipes.
 
 Endpoints:
 
@@ -40,15 +41,20 @@ before each response write (``drop`` closes the socket mid-exchange);
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import functools
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import queue
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from multiprocessing import connection as mp_connection
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import FaultInjected, InvalidRequest
@@ -91,7 +97,6 @@ class FrontEndConfig:
         shards: shard endpoints; non-empty selects the sharded tier.
         max_queue_depth: engine backlog above which POSTs are shed.
         max_inflight: concurrent HTTP requests above which POSTs are shed.
-        max_batch: engine micro-batch size cap (bounds batch latency).
         retry_after_s: baseline ``Retry-After`` for queue/inflight sheds.
         timeout_s: per-job wall budget handed to the pool.
         breaker_threshold / breaker_cooldown_s: circuit-breaker wiring
@@ -112,7 +117,6 @@ class FrontEndConfig:
     shards: Tuple[str, ...] = ()
     max_queue_depth: int = 64
     max_inflight: int = 128
-    max_batch: int = 16
     retry_after_s: float = 1.0
     timeout_s: float = 30.0
     breaker_threshold: int = 5
@@ -129,8 +133,6 @@ class FrontEndConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.retry_after_s <= 0:
             raise ValueError("retry_after_s must be positive")
         if self.replication < 1:
@@ -142,77 +144,93 @@ class FrontEndConfig:
 class _Engine(threading.Thread):
     """The single thread that owns the PlanningService.
 
-    Drains the intake queue into ``run_batch`` micro-batches; each intake
-    item is ``(PlanRequest, concurrent Future)`` and the future resolves
-    to the terminal :class:`PlanResponse`.
+    Runs the service's admit/settle loop continuously: each turn admits
+    whatever the intake holds, then takes one :meth:`PlanningService.step`
+    — so a request reaches an idle worker as soon as it arrives instead
+    of waiting for a batch to finish.  Each intake item is
+    ``(PlanRequest, concurrent Future)``; the future resolves to the
+    terminal :class:`PlanResponse` once its ``done`` record is synced.
+    :meth:`submit` writes to a self-pipe that is part of the step's wait
+    set, so an arrival never sits out a poll interval.
     """
 
-    def __init__(self, service: PlanningService, max_batch: int,
-                 prepare=None) -> None:
+    def __init__(self, service: PlanningService, prepare=None) -> None:
         super().__init__(name="repro-net-engine", daemon=True)
         self.service = service
-        self.max_batch = max_batch
         #: Optional callable run on the engine thread before the first
-        #: batch — crash recovery replays here, so recovered jobs execute
+        #: turn — crash recovery replays here, so recovered jobs execute
         #: under the same single-owner discipline as live traffic.
         self.prepare = prepare
         self.intake: "queue.Queue[Optional[tuple]]" = queue.Queue()
-        #: Jobs inside the currently-running batch (engine-thread writes,
-        #: handler-thread reads; int writes are atomic under the GIL).
-        self.inflight_batch = 0
-        self.batches = 0
+        # Self-pipe; the write end never blocks and is left for the GC to
+        # close, so a late submit() after shutdown cannot hit a reused fd.
+        self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
+        os.set_blocking(self._wake_w.fileno(), False)
 
     def depth(self) -> int:
-        """Engine backlog: queued intake plus the batch being planned."""
-        return self.intake.qsize() + self.inflight_batch
+        """Engine backlog: queued intake plus every admitted request whose
+        response is not yet published (read from the handler thread)."""
+        return self.intake.qsize() + self.service.outstanding
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send_bytes(b"")
+        except OSError:
+            pass  # pipe full (a wake-up is pending) or engine gone
 
     def submit(self, request: PlanRequest):
-        import concurrent.futures
-
         future: "concurrent.futures.Future[PlanResponse]" = (
             concurrent.futures.Future()
         )
         self.intake.put((request, future))
+        self._wake()
         return future
 
     def stop(self) -> None:
         self.intake.put(None)
+        self._wake()
+
+    @staticmethod
+    def _resolve(future, response: PlanResponse) -> None:
+        try:
+            future.set_result(response)
+        except concurrent.futures.InvalidStateError:
+            pass  # the client hung up, which cancelled its future
 
     def run(self) -> None:
-        if self.prepare is not None:
-            self.prepare()
-        while True:
-            try:
-                item = self.intake.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if item is None:
-                break
-            batch: List[tuple] = [item]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = self.intake.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    self.intake.put(None)  # re-arm shutdown after the batch
-                    break
-                batch.append(extra)
-            self.inflight_batch = len(batch)
-            self.batches += 1
-            try:
-                responses = self.service.run_batch([req for req, _ in batch])
-            except Exception as exc:
-                for req, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-            else:
-                for (_, future), response in zip(batch, responses):
-                    if not future.done():
-                        future.set_result(response)
-            finally:
-                self.inflight_batch = 0
-        self.service.close()
+        try:
+            if self.prepare is not None:
+                self.prepare()
+            stopping = False
+            while not stopping or self.service.outstanding:
+                # Drain the wake pipe *before* the intake: a submit racing
+                # this turn leaves a fresh byte behind for the next wait.
+                while self._wake_r.poll():
+                    self._wake_r.recv_bytes()
+                items = []
+                while True:
+                    try:
+                        item = self.intake.get_nowait()
+                    except queue.Empty:
+                        break
+                    if item is None:
+                        stopping = True
+                    else:
+                        items.append(item)
+                # Neither call raises: a request whose admission fails, or
+                # every open one if the pool fails, settles "error".
+                if items:
+                    self.service.admit([
+                        (req, functools.partial(self._resolve, fut))
+                        for req, fut in items
+                    ])
+                if self.service.outstanding:
+                    self.service.step(wake=self._wake_r)
+                elif not stopping:
+                    mp_connection.wait([self._wake_r])
+        finally:
+            self.service.close()
+            self._wake_r.close()
 
 
 class PlanFrontEnd:
@@ -248,8 +266,7 @@ class PlanFrontEnd:
             cache=cache,
             journal=journal,
         )
-        self.engine = _Engine(self.service, cfg.max_batch,
-                              prepare=self._recover)
+        self.engine = _Engine(self.service, prepare=self._recover)
         self._ids = itertools.count(1)
         #: Async-mode results: id -> Future, bounded FIFO eviction.
         self._results: "OrderedDict[str, object]" = OrderedDict()
@@ -528,11 +545,9 @@ class PlanFrontEnd:
             while len(self._results) > self._results_cap:
                 self._results.popitem(last=False)
             return 202, {"id": request_id, "status": "accepted"}, {}
-        try:
-            response = await asyncio.wrap_future(future)
-        except Exception as exc:
-            return 500, error_body("error", f"engine failure: {exc}",
-                                   request_id), {}
+        # The engine never fails a future: every admitted request settles
+        # with a response, a structured "error" included.
+        response = await asyncio.wrap_future(future)
         return http_status_for(response.status), response_to_wire(response), {}
 
     def _handle_result(self, result_id: str):
@@ -541,11 +556,7 @@ class PlanFrontEnd:
             return 404, {"error": f"unknown result id {result_id!r}"}, {}
         if not future.done():
             return 202, {"id": result_id, "status": "pending"}, {}
-        try:
-            response = future.result()
-        except Exception as exc:
-            return 500, error_body("error", f"engine failure: {exc}",
-                                   result_id), {}
+        response = future.result()
         return http_status_for(response.status), response_to_wire(response), {}
 
     def _handle_health(self, query: str):
@@ -579,7 +590,6 @@ class PlanFrontEnd:
             "queue_depth": self.engine.depth(),
             "max_queue_depth": self.config.max_queue_depth,
             "inflight": self.inflight,
-            "batches": self.engine.batches,
             "workers": 0 if self.service.inline else self.config.workers,
             "shed": dict(self.shed),
             "breaker": breaker.snapshot() if breaker is not None else None,

@@ -29,8 +29,9 @@ Record kinds:
 
 Durability policy (``fsync``): ``"always"`` fsyncs every append (maximum
 durability, slowest), ``"batch"`` (the default) fsyncs when the caller
-invokes :meth:`sync` — the service calls it once per batch, bounding loss
-to one batch of terminal records — and ``"off"`` leaves flushing to the
+invokes :meth:`sync` — the service calls it once per loop turn, before
+it releases any response settled in that turn, so loss is bounded to one
+turn's records and never covers a result a caller has seen — and ``"off"`` leaves flushing to the
 OS.  With no journal configured the service pays a single ``is not None``
 check per hook, mirroring the fault-injection zero-overhead contract.
 

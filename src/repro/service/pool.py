@@ -35,6 +35,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Tuple
 
@@ -43,7 +44,7 @@ from repro.obs import bump, get_tracer
 from repro.service.breaker import CircuitBreaker
 from repro.service.jobs import DONE, FAILED, RUNNING, Job, JobQueue
 from repro.service.request import PlanResponse, failure_response
-from repro.service.worker import worker_main
+from repro.service.worker import run_job, worker_main
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,37 @@ class _Slot:
         self.deadline: Optional[float] = None
 
 
-class WorkerPool:
+class _Races:
+    """Portfolio-race tokens and cancellation, shared by both pools.
+
+    ``cancel_flags.value`` is the race-cancellation bitmask (bit
+    ``token % 64`` per active race).
+    """
+
+    def new_race_token(self) -> int:
+        """Fresh token for one portfolio race (bit ``token % 64``).
+
+        Tokens only grow; with 64 bits, collisions require 64 concurrently
+        *active* races, far beyond what the service runs.
+        """
+        self._race_seq += 1
+        return self._race_seq
+
+    def cancel_race(self, token: int) -> None:
+        """Cancel every member of race ``token``: flip the shared bit (in-
+        flight members degrade out at their next budget poll) and mark the
+        race so still-queued members settle as ``"cancelled"`` without
+        dispatching."""
+        self.cancel_flags.value |= 1 << (token % 64)
+        self._cancelled_races.add(token)
+
+    def clear_race(self, token: int) -> None:
+        """Retire a finished race's token so its bit can be reused."""
+        self.cancel_flags.value &= ~(1 << (token % 64))
+        self._cancelled_races.discard(token)
+
+
+class WorkerPool(_Races):
     """Fixed-size pool of planner processes driven by :meth:`run`."""
 
     def __init__(self, config: Optional[PoolConfig] = None) -> None:
@@ -140,7 +171,11 @@ class WorkerPool:
         self.cancel_flags = self._ctx.Value("Q", 0, lock=False)
         self._race_seq = 0
         self._cancelled_races: set = set()
-        self._on_settle = None
+        #: Settlement hook: ``on_settle(job)`` runs synchronously as each
+        #: job reaches a terminal state.  The service settles requests
+        #: here (cache put, coalesced followers, journal ``done``) and
+        #: cancels portfolio losers the moment a winner lands.
+        self.on_settle = None
         self._slots: List[_Slot] = [
             self._spawn(i) for i in range(self.config.num_workers)
         ]
@@ -222,31 +257,6 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ---------------------------------------------------------------- races
-
-    def new_race_token(self) -> int:
-        """Fresh token for one portfolio race (bit ``token % 64``).
-
-        Tokens are never reused within a batch; with 64 bits, collisions
-        require 64 concurrently *active* races, far beyond any batch the
-        service runs.
-        """
-        self._race_seq += 1
-        return self._race_seq
-
-    def cancel_race(self, token: int) -> None:
-        """Cancel every member of race ``token``: flip the shared bit (in-
-        flight members degrade out at their next budget poll) and mark the
-        race so still-queued members settle as ``"cancelled"`` without
-        dispatching."""
-        self.cancel_flags.value |= 1 << (token % 64)
-        self._cancelled_races.add(token)
-
-    def clear_race(self, token: int) -> None:
-        """Retire a finished race's token so its bit can be reused."""
-        self.cancel_flags.value &= ~(1 << (token % 64))
-        self._cancelled_races.discard(token)
 
     # ------------------------------------------------------------- dispatch
 
@@ -350,11 +360,8 @@ class WorkerPool:
         job.state = DONE if response.status in ("ok", "degraded") else FAILED
         job.finished_at = now
         done.append(job)
-        if self._on_settle is not None:
-            # Settlement hook (portfolio racing): the service watches for
-            # race winners here and calls cancel_race() while the batch is
-            # still running.
-            self._on_settle(job)
+        if self.on_settle is not None:
+            self.on_settle(job)
         start = self._span_starts.pop(job.job_id, None)
         if start is not None:
             tracer = get_tracer()
@@ -368,136 +375,138 @@ class WorkerPool:
                     attempts=job.attempts,
                 )
 
-    def run(self, queue: JobQueue, on_settle=None) -> List[Job]:
-        """Drive every job in ``queue`` to a terminal state.
+    def run(self, queue: JobQueue) -> List[Job]:
+        """Step until every job in ``queue`` reaches a terminal state.
 
         Returns the finished jobs in completion order; each carries a
         :class:`PlanResponse` (structured failure included).
-        ``on_settle(job)`` is invoked synchronously as each job reaches a
-        terminal state — the hook portfolio racing uses to cancel losers
-        the moment a winner settles.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         done: List[Job] = []
-        injector = get_injector()
-        self._on_settle = on_settle
-        try:
-            return self._run_loop(queue, done, injector)
-        finally:
-            self._on_settle = None
+        while len(queue) or any(s.job is not None for s in self._slots):
+            done.extend(self.step(queue))
+        return done
 
-    def _run_loop(self, queue: JobQueue, done: List[Job], injector) -> List[Job]:
-        while len(queue) or any(slot.job is not None for slot in self._slots):
-            now = time.monotonic()
-            # 0. Settle still-queued members of cancelled races without
-            # dispatching them (their siblings' race already has a winner).
-            if self._cancelled_races:
-                cancelled = self._cancelled_races
-                for job in queue.purge(
-                    lambda request: request.race_token in cancelled
-                ):
-                    job.attempts = max(job.attempts, 1)
-                    self._settle(
-                        queue, job,
-                        failure_response(job.request, "cancelled",
-                                         "portfolio race already won"),
-                        done, now,
-                    )
-            # 1. Feed idle workers (unless the circuit breaker is open:
-            # jobs then stay queued — delayed, never dropped or failed).
-            if self.breaker.allow(now):
-                for slot in self._slots:
-                    if slot.job is None:
-                        job = queue.pop_ready(now)
-                        if job is None:
-                            break
-                        self._dispatch(slot, job, now, queue)
-            # 2. Wait on busy pipes (doubles as the loop's sleep).
-            busy = {slot.conn: slot for slot in self._slots if slot.job is not None}
-            if busy:
-                ready = mp_connection.wait(
-                    list(busy), timeout=self.config.poll_interval_s
+    def step(self, queue: JobQueue, wake=None) -> List[Job]:
+        """One supervisor turn; returns the jobs that settled in it.
+
+        Feeds idle workers, waits on the busy pipes and on ``wake`` (an fd
+        the caller signals, and drains, to cut the wait short), drains
+        results, and reaps dead or overdue workers.  The wait lasts at
+        most ``poll_interval_s``, less if a backoff matures sooner.
+        """
+        done: List[Job] = []
+        injector = get_injector()
+        now = time.monotonic()
+        # 0. Settle still-queued members of cancelled races without
+        # dispatching them (their siblings' race already has a winner).
+        if self._cancelled_races:
+            cancelled = self._cancelled_races
+            for job in queue.purge(
+                lambda request: request.race_token in cancelled
+            ):
+                job.attempts = max(job.attempts, 1)
+                self._settle(
+                    queue, job,
+                    failure_response(job.request, "cancelled",
+                                     "portfolio race already won"),
+                    done, now,
                 )
-            else:
-                # Only backoff-delayed jobs remain; nap until one matures.
-                delay = queue.next_eligible_in(now)
-                time.sleep(min(delay, self.config.poll_interval_s)
-                           if delay else self.config.poll_interval_s)
-                ready = []
-            for conn in ready:
-                slot = busy[conn]
-                job = slot.job
-                if job is None:  # settled earlier this iteration
-                    continue
-                try:
-                    message = slot.conn.recv()
-                except (EOFError, OSError):
-                    # 3. Pipe EOF: the worker died mid-job.
-                    self._replace(slot, kill=False)
-                    self._settle(
-                        queue, job,
-                        failure_response(job.request, "crash",
-                                         "worker process died mid-job"),
-                        done, time.monotonic(),
-                    )
-                    continue
-                except Exception as exc:
-                    # Corrupted payload (unpickling error, truncated
-                    # frame): the channel can no longer be trusted —
-                    # discard worker and pipe wholesale, classify the job
-                    # as a crash (retryable).
-                    self._count("corrupt_payloads")
-                    self._replace(slot, kill=True)
-                    self._settle(
-                        queue, job,
-                        failure_response(
-                            job.request, "crash",
-                            f"corrupted result payload: {exc!r}",
-                        ),
-                        done, time.monotonic(),
-                    )
-                    continue
-                if injector is not None:
-                    injector.fire("pool.recv", detail=f"job {job.job_id}")
-                if (
-                    not isinstance(message, tuple)
-                    or len(message) != 2
-                    or not isinstance(message[1], PlanResponse)
-                ):
-                    # Pickled fine but violates the (job_id, response)
-                    # protocol: same trust failure as a corrupt payload.
-                    self._count("corrupt_payloads")
-                    self._replace(slot, kill=True)
-                    self._settle(
-                        queue, job,
-                        failure_response(job.request, "crash",
-                                         "malformed result message"),
-                        done, time.monotonic(),
-                    )
-                    continue
-                job_id, response = message
-                if job_id != job.job_id:  # stale/foreign message; drop
-                    continue
-                slot.job, slot.deadline = None, None
-                response.worker_id = slot.worker_id
-                self._settle(queue, job, response, done, time.monotonic())
-            # 4. Deadline enforcement.
-            now = time.monotonic()
+        # 1. Feed idle workers (unless the circuit breaker is open:
+        # jobs then stay queued — delayed, never dropped or failed).
+        if self.breaker.allow(now):
             for slot in self._slots:
-                job = slot.job
-                if job is None or slot.deadline is None or now <= slot.deadline:
-                    continue
+                if slot.job is None:
+                    job = queue.pop_ready(now)
+                    if job is None:
+                        break
+                    self._dispatch(slot, job, now, queue)
+        # 2. Wait on busy pipes and the wake fd (doubles as the sleep).
+        busy = {slot.conn: slot for slot in self._slots if slot.job is not None}
+        delay = queue.next_eligible_in(now)
+        timeout = min(delay or self.config.poll_interval_s,
+                      self.config.poll_interval_s)
+        waitables = list(busy) + ([wake] if wake is not None else [])
+        if waitables:
+            ready = mp_connection.wait(waitables, timeout=timeout)
+        else:
+            # Only backoff-delayed jobs remain; nap until one matures.
+            time.sleep(timeout)
+            ready = []
+        for conn in ready:
+            slot = busy.get(conn)
+            job = slot.job if slot is not None else None
+            if job is None:  # the wake fd, or settled earlier this turn
+                continue
+            try:
+                message = slot.conn.recv()
+            except (EOFError, OSError):
+                # 3. Pipe EOF: the worker died mid-job.
+                self._replace(slot, kill=False)
+                self._settle(
+                    queue, job,
+                    failure_response(job.request, "crash",
+                                     "worker process died mid-job"),
+                    done, time.monotonic(),
+                )
+                continue
+            except Exception as exc:
+                # Corrupted payload (unpickling error, truncated
+                # frame): the channel can no longer be trusted —
+                # discard worker and pipe wholesale, classify the job
+                # as a crash (retryable).
+                self._count("corrupt_payloads")
                 self._replace(slot, kill=True)
                 self._settle(
                     queue, job,
                     failure_response(
-                        job.request, "timeout",
-                        f"exceeded per-job budget after "
-                        f"{job.attempts} attempt(s)",
+                        job.request, "crash",
+                        f"corrupted result payload: {exc!r}",
                     ),
-                    done, now,
+                    done, time.monotonic(),
                 )
+                continue
+            if injector is not None:
+                injector.fire("pool.recv", detail=f"job {job.job_id}")
+            if (
+                not isinstance(message, tuple)
+                or len(message) != 2
+                or not isinstance(message[1], PlanResponse)
+            ):
+                # Pickled fine but violates the (job_id, response)
+                # protocol: same trust failure as a corrupt payload.
+                self._count("corrupt_payloads")
+                self._replace(slot, kill=True)
+                self._settle(
+                    queue, job,
+                    failure_response(job.request, "crash",
+                                     "malformed result message"),
+                    done, time.monotonic(),
+                )
+                continue
+            job_id, response = message
+            if job_id != job.job_id:  # stale/foreign message; drop
+                continue
+            slot.job, slot.deadline = None, None
+            response.worker_id = slot.worker_id
+            self._settle(queue, job, response, done, time.monotonic())
+        # 4. Deadline enforcement.
+        now = time.monotonic()
+        for slot in self._slots:
+            job = slot.job
+            if job is None or slot.deadline is None or now <= slot.deadline:
+                continue
+            self._replace(slot, kill=True)
+            self._settle(
+                queue, job,
+                failure_response(
+                    job.request, "timeout",
+                    f"exceeded per-job budget after "
+                    f"{job.attempts} attempt(s)",
+                ),
+                done, now,
+            )
         return done
 
     def stats(self) -> Dict[str, object]:
@@ -509,3 +518,46 @@ class WorkerPool:
             "dead_letters": len(self.dead_letters),
             "breaker": self.breaker.snapshot(),
         }
+
+
+class InlinePool(_Races):
+    """In-process stand-in for :class:`WorkerPool` (``num_workers=0``).
+
+    Same surface, so the service drives both through one loop.  Each step
+    plans one job on the calling thread: no timeouts, retries or breaker.
+    Races degenerate to sequential first-feasible: members of a cancelled
+    race settle ``"cancelled"`` without executing.
+    """
+
+    def __init__(self) -> None:
+        self.on_settle = None
+        self.cancel_flags = SimpleNamespace(value=0)  # no workers to share it
+        self._race_seq = 0
+        self._cancelled_races: set = set()
+
+    def step(self, queue: JobQueue, wake=None) -> List[Job]:
+        """Plan the next queued job (nothing here waits)."""
+        job = queue.pop_ready(time.monotonic())
+        if job is None:
+            return []
+        job.attempts = 1
+        if job.request.race_token in self._cancelled_races:
+            response = failure_response(job.request, "cancelled",
+                                        "portfolio race already won")
+            response.planner = job.request.planner
+        else:
+            job.dispatched_at = time.monotonic()
+            response = run_job(job.request)
+        response.attempts = 1
+        job.response = response
+        job.state = DONE if response.status in ("ok", "degraded") else FAILED
+        job.finished_at = time.monotonic()
+        if self.on_settle is not None:
+            self.on_settle(job)
+        return [job]
+
+    def stats(self) -> Dict[str, object]:
+        return {"count": 0, "restarts": 0}
+
+    def close(self) -> None:
+        pass

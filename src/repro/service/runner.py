@@ -6,9 +6,10 @@ request, in order, after routing each through:
 
 1. **Cache lookup** — a previously-planned (task, config, lanes, smooth)
    digest is answered immediately with the stored response.
-2. **Single-flight coalescing** — duplicate keys *within* a batch plan
-   once; the followers are answered from the leader's freshly-cached
-   result (and count as cache hits, which is what they are).
+2. **Single-flight coalescing** — a request whose key is already in
+   flight plans once; the followers are answered from the leader's
+   freshly-cached result (and count as cache hits, which is what they
+   are).
 3. **The worker pool** — misses fan out across processes with timeouts,
    retries, and crash isolation (:mod:`repro.service.pool`).
 4. **Telemetry** — every response (hit, miss, or structured failure)
@@ -17,34 +18,38 @@ request, in order, after routing each through:
    requests — has its worker-side span buffer and metric deltas absorbed
    into the ambient ``repro.obs`` tracer/registry, tagged with the job id.
 
-The pool is created lazily and reused across batches, so worker start-up
-cost is amortised over the service lifetime — the request-level analogue of
-the engine's amortised setup.  ``num_workers=0`` selects *inline* mode
-(plan sequentially in-process, no timeout enforcement): handy for tests
-and for environments where ``multiprocessing`` is unwelcome.
+Requests flow through one continuous loop: :meth:`PlanningService.admit`
+takes requests in, :meth:`PlanningService.step` advances the pool one
+turn and settles whatever finished.  ``run_batch`` is "admit all, step
+until settled"; the network engine admits each request as it arrives.
+The pool is created lazily and reused for the service lifetime, so worker
+start-up cost is amortised — the request-level analogue of the engine's
+amortised setup.  ``num_workers=0`` selects *inline* mode (plan
+sequentially in-process, no timeout enforcement): handy for tests and for
+environments where ``multiprocessing`` is unwelcome.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import portfolio as portfolio_mod
 from repro.core.moped import config_for_variant
 from repro.core.world import PlanningTask
 from repro.obs import EventLog, bump, get_registry, get_tracer
 from repro.service.cache import PlanCache
-from repro.service.jobs import DONE, FAILED, Job, JobQueue
+from repro.service.jobs import Job, JobQueue
 from repro.service.journal import JobJournal
-from repro.service.pool import PoolConfig, WorkerPool
+from repro.service.pool import InlinePool, PoolConfig, WorkerPool
 from repro.service.request import PlanRequest, PlanResponse, failure_response
 from repro.service.telemetry import (
     TelemetrySink,
     record_from_job,
     record_from_response,
 )
-from repro.service.worker import execute_request
 
 
 class PlanningService:
@@ -92,25 +97,42 @@ class PlanningService:
         #: with a journal, every admission, dispatch, and terminal status is
         #: logged so :meth:`recover` can replay work a crash lost.
         self.journal = journal
-        self._pool: Optional[WorkerPool] = None
+        self._pool = None  # WorkerPool, or InlinePool for num_workers=0
         self._pending: List[PlanRequest] = []
+        # Live loop state: the queue the pool steps, (entry, cache key) per
+        # job, followers per in-flight key, races by token, every admitted
+        # (request, on_done) entry not yet settled (by id), and settled
+        # (on_done, response) pairs awaiting the turn's group commit.
+        self._queue = JobQueue()
+        self._jobs: Dict[int, Tuple[tuple, Optional[str]]] = {}
+        self._followers: Dict[str, List[tuple]] = {}
+        self._races: Dict[int, Dict] = {}
+        self._open: Dict[int, tuple] = {}
+        self._publish: List[tuple] = []
+
+    @property
+    def outstanding(self) -> int:
+        """Admitted requests whose response is not yet published."""
+        return len(self._open) + len(self._publish)
 
     # ----------------------------------------------------------- lifecycle
 
-    def _ensure_pool(self) -> WorkerPool:
+    def _ensure_pool(self):
         if self._pool is None:
-            self._pool = WorkerPool(self.pool_config)
+            self._pool = (InlinePool() if self.inline
+                          else WorkerPool(self.pool_config))
+            self._pool.on_settle = self._job_settled
         return self._pool
 
     @property
     def breaker(self):
-        """The live pool's circuit breaker, or ``None`` before it exists.
+        """The live pool's circuit breaker (``None`` before it exists, and inline).
 
         The network front end reads this to shed load at the edge while
         the breaker is open (429 + Retry-After instead of queueing jobs
         into a sick pool).
         """
-        return self._pool.breaker if self._pool is not None else None
+        return getattr(self._pool, "breaker", None)
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent; service stays queryable)."""
@@ -230,149 +252,166 @@ class PlanningService:
         }
 
     def run_batch(self, requests: Sequence[PlanRequest]) -> List[PlanResponse]:
-        """Plan a batch; one response per request, original order."""
-        tracer = get_tracer()
-        with tracer.span(
-            "service.batch", run_id=self.events.run_id, requests=len(requests)
-        ):
-            self.events.emit("batch.start", requests=len(requests))
-            responses = self._run_batch_inner(requests)
-            self.events.emit(
-                "batch.end",
-                requests=len(requests),
-                ok=sum(1 for r in responses if r.status == "ok"),
-            )
-        return responses
+        """Plan a batch; one response per request, original order.
 
-    def _run_batch_inner(self, requests: Sequence[PlanRequest]) -> List[PlanResponse]:
+        Admit all, then step until all have settled: the loop the network
+        engine drives one request at a time.
+        """
         responses: List[Optional[PlanResponse]] = [None] * len(requests)
-        queue = JobQueue()
-        job_index: Dict[int, Tuple[int, Optional[str]]] = {}
-        leaders: Dict[str, int] = {}
-        followers: Dict[str, List[int]] = {}
-        races: Dict[int, Dict] = {}  # request index -> race bookkeeping
-        race_jobs: Dict[int, int] = {}  # member job_id -> request index
+        self.events.emit("batch.start", requests=len(requests))
+        self.admit([(request, functools.partial(responses.__setitem__, i))
+                    for i, request in enumerate(requests)])
+        while any(r is None for r in responses):
+            self.step()
+        self.events.emit(
+            "batch.end",
+            requests=len(requests),
+            ok=sum(1 for r in responses if r.status == "ok"),
+        )
+        return responses  # type: ignore[return-value]
 
+    def admit(
+        self, items: Sequence[Tuple[PlanRequest, Callable[[PlanResponse], None]]]
+    ) -> None:
+        """Admission step: journal each ``(request, on_done)``, then answer
+        it from the cache, coalesce it onto the in-flight leader with the
+        same cache key, or queue it.  ``on_done(response)`` runs at the end
+        of the :meth:`step` that settles the request.  A request whose
+        admission raises (a failed journal write) alone settles ``"error"``.
+        """
+        with get_tracer().span(
+            "service.batch", run_id=self.events.run_id, requests=len(items)
+        ):
+            for entry in items:
+                self._open[id(entry)] = entry
+                try:
+                    self._admit_one(entry)
+                except Exception as exc:
+                    self._settled(entry, failure_response(
+                        entry[0], "error", f"admission failed: {exc!r}"))
+
+    def _admit_one(self, entry) -> None:
+        # Every journal write precedes the loop-state registration, so a
+        # write that raises leaves no follower list or job behind.
+        request = entry[0]
         journal = self.journal
-        for i, request in enumerate(requests):
-            if journal is not None and not getattr(request, "recovered", False):
-                # Write-ahead: admission is durable before any work starts.
-                # Recovered requests are already in the journal — their
-                # original admit record is the one being settled.
-                journal.record_admit(request)
-            if request.portfolio:
-                # Portfolio race: expand into K member jobs sharing a race
-                # token.  Races bypass the cache both ways — each race is a
-                # fresh controlled experiment, and the parent response is a
-                # synthesis, not a single planner's cacheable answer.
-                if journal is not None:
-                    journal.record_dispatch(request.request_id)
-                self._start_race(i, request, queue, races, race_jobs)
-                continue
-            # Faulted and traced requests always execute (chaos hooks and
-            # observability runs both want a real execution, not a replay).
-            key = None if (request.fault or request.trace) else request.cache_key()
-            if key is not None:
-                if key in leaders:  # coalesce before a (miss-counting) lookup
-                    followers.setdefault(key, []).append(i)
-                    continue
-                cached = self.cache.get(key, request.request_id)
-                if cached is not None:
-                    responses[i] = cached
-                    self._observe_response(cached, job_id=None, request=request)
-                    continue
+        if journal is not None and not getattr(request, "recovered", False):
+            # Write-ahead: admission is durable before any work starts.
+            # Recovered requests are already in the journal — their
+            # original admit record is the one being settled.
+            journal.record_admit(request)
+        if request.portfolio:
+            # Portfolio race: expand into K member jobs sharing a race
+            # token.  Races bypass the cache both ways — each race is a
+            # fresh controlled experiment, and the parent response is a
+            # synthesis, not a single planner's cacheable answer.
             if journal is not None:
                 journal.record_dispatch(request.request_id)
-            job = queue.submit(request, time.monotonic())
-            job_index[job.job_id] = (i, key)
-            if key is not None:
-                leaders[key] = job.job_id
-
-        if self.inline:
-            jobs = self._run_inline(queue)
-        else:
-            pool = self._ensure_pool()
-            on_settle = None
-            if races:
-                def on_settle(job: Job) -> None:
-                    # First feasible member wins; flip the shared bit so the
-                    # losers degrade out through the cancel -> deadline path.
-                    idx = race_jobs.get(job.job_id)
-                    if idx is None:
-                        return
-                    race = races[idx]
-                    race["jobs"][job.job_id] = job
-                    response = job.response
-                    if (race["winner_job"] is None and response is not None
-                            and response.status == "ok" and response.success):
-                        race["winner_job"] = job.job_id
-                        pool.cancel_race(race["token"])
-            try:
-                jobs = pool.run(queue, on_settle=on_settle)
-            finally:
-                for race in races.values():
-                    pool.clear_race(race["token"])
-
-        for job in jobs:
-            if job.job_id in race_jobs:
-                races[race_jobs[job.job_id]]["jobs"][job.job_id] = job
-                continue
-            i, key = job_index[job.job_id]
-            response = job.response
-            assert response is not None
-            responses[i] = response
-            self._absorb_job_obs(job.job_id, response)
-            self.telemetry.record(record_from_job(job), counter=response.counter())
-            self.events.emit(
-                "job.done",
-                job_id=job.job_id,
-                request_id=response.request_id,
-                status=response.status,
-                cache_hit=False,
-                worker_id=response.worker_id,
-                attempts=job.attempts,
-                plan_seconds=response.plan_seconds,
-            )
-            if key is not None and response.status == "ok":
-                self.cache.put(key, replace(response))
-
-        for i, race in races.items():
-            responses[i] = self._finalise_race(race)
-
-        for key, indices in followers.items():
-            leader_i = job_index[leaders[key]][0]
-            leader = responses[leader_i]
-            assert leader is not None
-            for i in indices:
-                hit = self.cache.get(key, requests[i].request_id)
-                if hit is None:  # leader failed; echo its failure (miss counted)
-                    hit = replace(leader, request_id=requests[i].request_id)
-                responses[i] = hit
-                self._observe_response(hit, job_id=None, request=requests[i])
-
+            self._start_race(entry)
+            return
+        # Faulted and traced requests always execute (chaos hooks and
+        # observability runs both want a real execution, not a replay).
+        key = None if (request.fault or request.trace) else request.cache_key()
+        if key is not None:
+            if key in self._followers:  # coalesce before a (miss-counting) lookup
+                self._followers[key].append(entry)
+                return
+            cached = self.cache.get(key, request.request_id)
+            if cached is not None:
+                self._observe_response(cached, job_id=None, request=request)
+                self._settled(entry, cached)
+                return
         if journal is not None:
-            # Terminal records for the whole batch, then one sync: in
-            # fsync="batch" mode at most one batch of terminal statuses is
-            # at risk, and a lost ``done`` only means a redundant (and
-            # idempotent, cache-served) replay after the next crash.
-            for request, response in zip(requests, responses):
-                assert response is not None
-                journal.record_done(request.request_id, response.status)
-            journal.sync()
+            journal.record_dispatch(request.request_id)
+        if key is not None:
+            self._followers[key] = []
+        job = self._queue.submit(request, time.monotonic())
+        self._jobs[job.job_id] = (entry, key)
 
-        assert all(r is not None for r in responses)
-        return responses  # type: ignore[return-value]
+    def step(self, wake=None) -> None:
+        """One loop turn: advance the pool once, then publish.
+
+        Jobs settle through the pool's ``on_settle`` hook as they finish.
+        Publishing takes one group-commit ``journal.sync()``, *then* runs
+        the settled requests' ``on_done`` — so in ``fsync="batch"`` mode
+        no caller hears of a result whose ``done`` record could be lost.
+        ``wake`` (a readable fd or connection) ends the pool's wait early.
+        A turn with results already waiting (cache hits, admission
+        failures) publishes them without a pool step; the next turn feeds
+        the workers.  If the pool step itself raises, every open request
+        settles ``"error"`` and the loop starts over with a fresh pool.
+        """
+        if not self._publish:
+            try:
+                self._ensure_pool().step(self._queue, wake)
+            except Exception as exc:
+                self._abort(exc)
+        publish, self._publish = self._publish, []
+        if publish and self.journal is not None:
+            try:
+                self.journal.sync()
+            except Exception as exc:
+                publish = [(on_done, PlanResponse(
+                    request_id=response.request_id, status="error",
+                    error=f"journal sync failed: {exc!r}",
+                )) for on_done, response in publish]
+        for on_done, response in publish:
+            on_done(response)
+
+    def _settled(self, entry, response: PlanResponse) -> None:
+        """Terminal status for one admitted request, exactly once (published
+        at the end of the turn).  A ``done`` record that cannot be written
+        turns the response into a structured ``"error"``."""
+        if self._open.pop(id(entry), None) is None:
+            return  # already settled
+        request, on_done = entry
+        if self.journal is not None:
+            try:
+                self.journal.record_done(request.request_id, response.status)
+            except Exception as exc:
+                response = failure_response(
+                    request, "error", f"journal write failed: {exc!r}")
+        self._publish.append((on_done, response))
+
+    def _abort(self, exc: Exception) -> None:
+        """The loop itself failed: settle every open request ``"error"``
+        and drop the queue, in-flight keys, races and pool."""
+        for entry in list(self._open.values()):
+            self._settled(entry, failure_response(
+                entry[0], "error", f"service loop failed: {exc!r}"))
+        self._queue = JobQueue()
+        self._jobs.clear()
+        self._followers.clear()
+        self._races.clear()
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.close()
+        self.events.emit("loop.abort", error=repr(exc))
+
+    def _job_settled(self, job: Job) -> None:
+        """Pool ``on_settle`` hook: settle the job's request(s) at once."""
+        token = job.request.race_token
+        if token is not None:
+            self._race_member_settled(token, job)
+            return
+        entry, key = self._jobs.pop(job.job_id)
+        followers = self._followers.pop(key) if key is not None else []
+        response = job.response
+        self._observe_response(response, job.job_id, job=job)
+        if response.status == "ok" and key is not None:
+            self.cache.put(key, replace(response))
+        self._settled(entry, response)
+        for follower in followers:
+            rid = follower[0].request_id
+            hit = self.cache.get(key, rid)
+            if hit is None:  # leader failed; echo its failure (miss counted)
+                hit = replace(response, request_id=rid)
+            self._observe_response(hit, job_id=None, request=follower[0])
+            self._settled(follower, hit)
 
     # ------------------------------------------------------------- racing
 
-    def _start_race(
-        self,
-        i: int,
-        request: PlanRequest,
-        queue: JobQueue,
-        races: Dict[int, Dict],
-        race_jobs: Dict[int, int],
-    ) -> None:
+    def _start_race(self, entry) -> None:
         """Expand one portfolio request into member jobs sharing a token.
 
         Each member is an ordinary job carrying ``planner=name``, the
@@ -382,13 +421,12 @@ class PlanningService:
         through :attr:`portfolio_stats` here, so the learned default is
         whatever the stats file said at submit time.
         """
+        request: PlanRequest = entry[0]
         signature = portfolio_mod.task_signature(request.task)
         names = portfolio_mod.resolve(
             request.portfolio, signature, self.portfolio_stats
         )
-        # Inline mode has no shared bitmask; the token only needs to be a
-        # unique race key, and the request index already is one.
-        token = i if self.inline else self._ensure_pool().new_race_token()
+        token = self._ensure_pool().new_race_token()
         members: List[Tuple[str, int]] = []
         for name in names:
             member = replace(
@@ -399,15 +437,14 @@ class PlanningService:
                 race_token=token,
                 config=portfolio_mod.member_config(name, request.config),
             )
-            job = queue.submit(member, time.monotonic())
-            race_jobs[job.job_id] = i
+            job = self._queue.submit(member, time.monotonic())
             members.append((name, job.job_id))
-        races[i] = {
+        self._races[token] = {
             "token": token,
             "signature": signature,
             "names": names,
             "members": members,
-            "request": request,
+            "entry": entry,
             "winner_job": None,
             "jobs": {},
         }
@@ -419,66 +456,54 @@ class PlanningService:
             token=token,
         )
 
+    def _race_member_settled(self, token: int, job: Job) -> None:
+        """First feasible member wins: flip the race's cancel bit so the
+        losers degrade out through the cancel -> deadline path.  The race
+        settles once every member has."""
+        race = self._races[token]
+        race["jobs"][job.job_id] = job
+        response = job.response
+        if (race["winner_job"] is None and response is not None
+                and response.status == "ok" and response.success):
+            race["winner_job"] = job.job_id
+            self._pool.cancel_race(token)
+        if len(race["jobs"]) == len(race["members"]):
+            del self._races[token]
+            self._pool.clear_race(token)
+            self._settled(race["entry"], self._finalise_race(race))
+
     def _finalise_race(self, race: Dict) -> PlanResponse:
         """Pick the race winner, account for the losers, learn from the win.
 
-        Winner policy: the first-feasible member recorded at settle time;
-        otherwise (no ``ok`` arrived while racing — e.g. inline mode, or
-        every member degraded) the cheapest feasible response, then the
-        first member that answered at all, in member order.  The parent
-        response is the winner's response re-labelled with the parent
-        request id plus a ``race`` summary; every member is observed as its
-        own job so telemetry/RCA see the losers' terminal statuses too.
+        Runs once every member has settled.  Winner policy: the
+        first-feasible member recorded at settle time; otherwise (no
+        ``ok`` arrived while racing — e.g. every member degraded) the
+        cheapest feasible response, then the first member, in member
+        order.  The parent response is the winner's response re-labelled
+        with the parent request id plus a ``race`` summary; every member
+        is observed as its own job so telemetry/RCA see the losers'
+        terminal statuses too.
         """
-        request: PlanRequest = race["request"]
-        members = [(name, race["jobs"].get(job_id))
+        request: PlanRequest = race["entry"][0]
+        members = [(name, race["jobs"][job_id])
                    for name, job_id in race["members"]]
-
-        winner_name: Optional[str] = None
-        winner_job: Optional[Job] = None
         if race["winner_job"] is not None:
-            winner_job = race["jobs"][race["winner_job"]]
-            winner_name = next(
-                name for name, job_id in race["members"]
-                if job_id == race["winner_job"]
+            winner_name, winner_job = next(
+                (n, j) for n, j in members if j.job_id == race["winner_job"]
             )
         else:
-            answered = [(n, j) for n, j in members
-                        if j is not None and j.response is not None]
-            feasible = [(n, j) for n, j in answered if j.response.success]
+            feasible = [(n, j) for n, j in members if j.response.success]
             best = [(n, j) for n, j in feasible if j.response.status == "ok"]
-            candidates = best or feasible
-            if candidates:
-                winner_name, winner_job = min(
-                    candidates, key=lambda nj: nj[1].response.path_cost
-                )
-            elif answered:
-                winner_name, winner_job = answered[0]
+            winner_name, winner_job = min(
+                best or feasible or members[:1],
+                key=lambda nj: nj[1].response.path_cost,
+            )
 
         statuses: Dict[str, str] = {}
-        cancelled = 0
         for name, job in members:
-            if job is None or job.response is None:
-                statuses[name] = "lost"
-                continue
-            response = job.response
-            statuses[name] = response.status
-            if response.status == "cancelled":
-                cancelled += 1
-            self._absorb_job_obs(job.job_id, response)
-            self.telemetry.record(
-                record_from_job(job), counter=response.counter()
-            )
-            self.events.emit(
-                "job.done",
-                job_id=job.job_id,
-                request_id=response.request_id,
-                status=response.status,
-                cache_hit=False,
-                worker_id=response.worker_id,
-                attempts=job.attempts,
-                plan_seconds=response.plan_seconds,
-            )
+            statuses[name] = job.response.status
+            self._observe_response(job.response, job.job_id, job=job)
+        cancelled = sum(1 for s in statuses.values() if s == "cancelled")
 
         summary = {
             "planners": list(race["names"]),
@@ -487,21 +512,13 @@ class PlanningService:
             "cancelled": cancelled,
             "signature": race["signature"],
         }
-        if winner_job is not None:
-            parent = replace(
-                winner_job.response,
-                request_id=request.request_id,
-                planner=winner_name,
-                race=summary,
-            )
-        else:
-            parent = failure_response(
-                request, "error", "portfolio race produced no responses"
-            )
-            parent.race = summary
-
-        won = (winner_job is not None
-               and winner_job.response.status == "ok"
+        parent = replace(
+            winner_job.response,
+            request_id=request.request_id,
+            planner=winner_name,
+            race=summary,
+        )
+        won = (winner_job.response.status == "ok"
                and winner_job.response.success)
         if won:
             bump(
@@ -527,12 +544,16 @@ class PlanningService:
         response: PlanResponse,
         job_id: Optional[int],
         request: Optional[PlanRequest] = None,
+        job: Optional[Job] = None,
     ) -> None:
-        """Telemetry + event for a response that did not run through a job."""
-        self.telemetry.record(
-            record_from_response(response, request=request),
-            counter=response.counter(),
-        )
+        """Telemetry + event for one terminal response; a pooled ``job``'s
+        shipped-back trace and metric buffers are absorbed too."""
+        if job is not None:
+            self._absorb_job_obs(job.job_id, response)
+            record = record_from_job(job)
+        else:
+            record = record_from_response(response, request=request)
+        self.telemetry.record(record, counter=response.counter())
         self.events.emit(
             "job.done",
             job_id=job_id,
@@ -559,59 +580,6 @@ class PlanningService:
             registry = get_registry()
             if registry.enabled:
                 registry.merge_dict(response.metric_deltas)
-
-    def _run_inline(self, queue: JobQueue) -> List[Job]:
-        """Sequential in-process execution (no pool, no timeouts).
-
-        Portfolio races degenerate gracefully here: members run in member
-        order and the first feasible win marks the race token, so later
-        members of the same race settle ``"cancelled"`` without executing —
-        sequential first-feasible, the one-worker limit of the race.
-        """
-        from repro.errors import InvalidRequest
-
-        won_races: set = set()
-        done: List[Job] = []
-        while True:
-            job = queue.pop_ready(time.monotonic())
-            if job is None:
-                break
-            token = job.request.race_token
-            if token is not None and token in won_races:
-                job.attempts = 1
-                job.response = failure_response(
-                    job.request, "cancelled", "portfolio race already won"
-                )
-                job.response.planner = job.request.planner
-                job.response.attempts = 1
-                job.state = FAILED
-                job.finished_at = time.monotonic()
-                done.append(job)
-                continue
-            job.attempts = 1
-            job.dispatched_at = time.monotonic()
-            try:
-                job.response = execute_request(job.request)
-            except InvalidRequest as exc:
-                job.response = PlanResponse(
-                    request_id=job.request.request_id,
-                    status="invalid",
-                    error=str(exc),
-                )
-            except Exception as exc:
-                job.response = PlanResponse(
-                    request_id=job.request.request_id,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            job.response.attempts = 1
-            job.state = DONE if job.response.status in ("ok", "degraded") else FAILED
-            job.finished_at = time.monotonic()
-            done.append(job)
-            if (token is not None and job.response.status == "ok"
-                    and job.response.success):
-                won_races.add(token)
-        return done
 
     # ----------------------------------------------------------- telemetry
 

@@ -185,6 +185,22 @@ def execute_request(request: PlanRequest) -> PlanResponse:
     return response
 
 
+def run_job(request: PlanRequest) -> PlanResponse:
+    """:func:`execute_request` with any failure folded into a structured
+    ``"invalid"`` or ``"error"`` response — never fatal to the caller."""
+    try:
+        return execute_request(request)
+    except InvalidRequest as exc:
+        return PlanResponse(request_id=request.request_id, status="invalid",
+                            error=str(exc))
+    except Exception as exc:
+        return PlanResponse(
+            request_id=request.request_id, status="error",
+            error="".join(
+                traceback.format_exception_only(type(exc), exc)).strip(),
+        )
+
+
 def _send_with_faults(conn, job_id: int, response: PlanResponse, kind: Optional[str]) -> None:
     """Send a result, honouring a transport-fault kind on this one send.
 
@@ -236,22 +252,7 @@ def worker_main(worker_id: int, conn, fault_plan: Optional[FaultPlan] = None,
         job_id, request = item
         if injector is not None:
             injector.fire("worker.recv", detail=f"job {job_id}")
-        try:
-            response = execute_request(request)
-        except InvalidRequest as exc:
-            response = PlanResponse(
-                request_id=request.request_id,
-                status="invalid",
-                error=str(exc),
-            )
-        except Exception as exc:  # structured, never fatal to the loop
-            response = PlanResponse(
-                request_id=request.request_id,
-                status="error",
-                error="".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip(),
-            )
+        response = run_job(request)
         send_kind = None
         if request.fault in ("corrupt", "duplicate", "wrong_id",
                              "crash_after_send", "drop"):

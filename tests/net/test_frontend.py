@@ -8,16 +8,21 @@ The overload tests pin the acceptance criterion: saturation surfaces as
 """
 
 import asyncio
+import errno
 import http.client
 import json
+import multiprocessing
 import tempfile
 import threading
 import time
 import unittest
+from dataclasses import replace
 
 from repro.net.frontend import FrontEndConfig, PlanFrontEnd
+from repro.service import worker
 from repro.service.breaker import OPEN
 from repro.service.journal import scan_journal
+from tests.service.test_request import make_request
 
 SPEC_BODY = {"spec": {"robot": "mobile2d", "obstacles": 4, "seed": 3,
                       "samples": 60}}
@@ -279,30 +284,129 @@ class TestReadinessAndDrain(unittest.TestCase):
             self.assertEqual(kinds[-1], "clean_shutdown")
 
 
+class TestContinuousDispatch(unittest.TestCase):
+    """An idle worker takes the next request while another is busy."""
+
+    def test_second_request_settles_while_first_is_held(self):
+        # A gate at the worker's fault site holds job 1 inside its worker.
+        # Forked workers inherit the patched hook and the shared Event.
+        ctx = multiprocessing.get_context("fork")
+        gate = ctx.Event()
+        original = worker.apply_fault
+
+        def gated(fault):
+            if fault == "gate":
+                gate.wait()
+            else:
+                original(fault)
+
+        worker.apply_fault = gated
+        # A budget far past the waits below: a worker killed while it
+        # waits on the Event would leave gate.set() blocked forever.
+        front = PlanFrontEnd(FrontEndConfig(workers=2, timeout_s=600.0))
+        front.service.pool_config = replace(front.service.pool_config,
+                                            start_method="fork")
+        front.engine.start()
+        try:
+            held = front.engine.submit(
+                make_request(seed=1, request_id="held", fault="gate"))
+            free = front.engine.submit(make_request(seed=2, request_id="free"))
+            response = free.result(timeout=60.0)
+            self.assertEqual(response.status, "ok")
+            self.assertFalse(held.done())
+            # Job 1 is admitted and unsettled: the backlog still counts it.
+            self.assertEqual(front.engine.depth(), 1)
+            gate.set()
+            self.assertEqual(held.result(timeout=60.0).status, "ok")
+            self.assertEqual(front.engine.depth(), 0)
+        finally:
+            gate.set()
+            worker.apply_fault = original
+            front.engine.stop()
+            front.engine.join(timeout=10.0)
+        self.assertFalse(front.engine.is_alive())
+
+
+class TestDurableBeforeReply(unittest.TestCase):
+    def test_done_record_is_in_the_journal_when_200_returns(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            fx = _FrontEndFixture(journal_dir=tmp)
+            try:
+                self.assertTrue(fx.front.ready.wait(timeout=10.0))
+                code, body, _ = fx.request("POST", "/plan", SPEC_BODY)
+                self.assertEqual(code, 200)
+                # Read back while the server is still running: what a
+                # crash right now would leave on disk.
+                records, torn = scan_journal(tmp)
+            finally:
+                fx.stop()
+                fx.front.service.journal.close()
+            self.assertFalse(torn)
+            mine = [(r["kind"], r.get("status")) for r in records
+                    if r.get("request_id") == body["request_id"]]
+            self.assertEqual(mine, [("admit", None), ("dispatch", None),
+                                    ("done", "ok")])
+
+
+class TestJournalFailureOnTheEngine(unittest.TestCase):
+    def test_failed_append_unwinds_and_the_key_is_served_again(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            fx = _FrontEndFixture(journal_dir=tmp)
+            journal = fx.front.service.journal
+            original = journal.append
+            armed = [True]
+
+            def append(kind, **fields):
+                if kind == "dispatch" and armed[0]:
+                    armed[0] = False
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return original(kind, **fields)
+
+            journal.append = append
+            try:
+                self.assertTrue(fx.front.ready.wait(timeout=10.0))
+                code, body, _ = fx.request("POST", "/plan", SPEC_BODY)
+                self.assertEqual(code, 500)
+                self.assertIn("admission failed", body["error"])
+                self.assertEqual(fx.front.engine.depth(), 0)
+                # Same cache key: no leader was left in flight to join.
+                code, body, _ = fx.request("POST", "/plan", SPEC_BODY)
+                self.assertEqual(code, 200)
+                self.assertEqual(body["status"], "ok")
+                self.assertEqual(fx.front.engine.depth(), 0)
+            finally:
+                fx.stop()
+                journal.close()
+
+
 class TestOverloadEndToEnd(unittest.TestCase):
     """Acceptance criterion: saturation -> 429s, no errors, no deadlock."""
 
     def test_saturated_engine_sheds_and_recovers(self):
         fx = _FrontEndFixture(max_queue_depth=1, retry_after_s=1.0)
         gate = threading.Event()
-        original = fx.front.service.run_batch
+        service = fx.front.service
+        original = service.step
 
-        def gated(requests):
-            gate.wait(timeout=30.0)
-            return original(requests)
+        def gated(wake=None):
+            # Park the engine's settle step once a request is admitted.
+            if service.outstanding:
+                gate.wait(timeout=30.0)
+            return original(wake)
 
-        fx.front.service.run_batch = gated
+        service.step = gated
         try:
             # First request is admitted (async mode) and parks the engine
-            # behind the gate, pinning queue depth at max.
+            # before it can settle, pinning queue depth at max.
             code, body, _ = fx.request("POST", "/plan?wait=0", SPEC_BODY)
             self.assertEqual(code, 202)
             result_id = body["id"]
             deadline = time.monotonic() + 5.0
-            while fx.front.engine.depth() < 1:
+            while service.outstanding < 1:
                 self.assertLess(time.monotonic(), deadline,
-                                "engine never picked up the parked job")
+                                "engine never admitted the parked job")
                 time.sleep(0.01)
+            self.assertEqual(fx.front.engine.depth(), 1)
 
             # Burst while saturated: every response is a clean 429 with
             # Retry-After — nothing errors, nothing blocks.

@@ -99,16 +99,34 @@ class TestBuildRequestsDeadline:
         assert all(r.config.deadline_s is None for r in requests)
 
 
-class TestCliDeadline:
-    def test_single_plan_reports_degradation(self, capsys):
-        from repro.cli import main
+class _StepClock:
+    """Fake monotonic clock: every read advances it by a fixed step."""
 
+    def __init__(self, step: float) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def monotonic(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+class TestCliDeadline:
+    def test_single_plan_reports_degradation(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.core import rrtstar
+
+        # The planner reads the clock once to arm the deadline and once
+        # per sample, so 0.05 s at 0.1 ms per read always stops after
+        # the same 499 samples — with a path — on any host.
+        monkeypatch.setattr(rrtstar, "time", _StepClock(1e-4))
         code = main(["--robot", "mobile2d", "--obstacles", "6",
                      "--samples", "50000", "--seed", "1",
                      "--deadline", "0.05"])
         assert code == 0
         out = capsys.readouterr().out
         assert "degraded: deadline" in out
+        assert "expired after 499/50000 samples" in out
 
     def test_batch_deadline_exits_zero_with_degraded(self, capsys, tmp_path):
         from repro.cli import main

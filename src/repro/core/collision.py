@@ -23,72 +23,45 @@ configuration and ``motion_in_collision`` for a movement, which walks the
 interpolated configurations from the tree side so collisions are found with
 the fewest checks.
 
-Whole-edge validation
+Three implementations
 ---------------------
 
-A movement check is the planner's unit of work, and VAMP ("Motions in
-Microseconds") shows that validating the *entire* interpolated edge as one
-wide batched operation — instead of looping per intermediate configuration
-— is where sampling-based planners find their orders of magnitude.  The
-checkers therefore expose :meth:`CollisionChecker.motion_results_batch`:
-given a batch of edges, the full interpolation ladder of every edge is
-built in one vectorized pass (:func:`repro.geometry.motion.
-interpolate_edges`), forward kinematics runs once over all ladder rows
-(``body_frames_batch``), and the (configs x links x obstacles) SAT grids
-are evaluated in a single stacked kernel invocation whose per-edge
-early-exit statistics come from segment reductions
-(:func:`repro.kernels.batch.segment_first_hit` and friends) — preserving
-the start-side first-collision semantics and the exact per-phase
-:class:`~repro.core.counters.OpCounter` totals of the scalar reference.
-``motion_in_collision`` is the single-edge special case of the same path,
-and the wavefront planner feeds a whole wave of speculative edges through
-one ``motion_results_batch`` call.
+Every checker answers a check through one of three implementations, all
+with the same verdicts and the same per-phase
+:class:`~repro.core.counters.OpCounter` totals:
 
-With ``edge_cache_size > 0`` results are additionally memoised per
-*edge* (keyed on both endpoint configurations): a cached edge skips
-ladder construction, FK, and the kernels entirely, replaying the stored
-verdict and counter events — bit-identical to recomputation, like the
-per-configuration cache below.
+* ``_config_scalar`` — the reference oracle: one Python-level SAT call per
+  (configuration, body, obstacle), early-exiting exactly where the
+  hardware would.  The ``"reference"`` kernel backend
+  (:data:`repro.kernels.KERNEL_BACKENDS`) and the grid checker use it for
+  everything.
+* ``_batch_check`` — the per-movement path: the geometry of a whole
+  movement (every waypoint x every body x every obstacle) is evaluated in
+  a few stacked ndarray passes (:mod:`repro.kernels.batch`), and the
+  scalar control flow is then *replayed* over the boolean masks, recording
+  aggregated counter events straight into the caller's counter.  It serves
+  ``config_in_collision`` and, on small problems, single movements.
+* ``_batch_motion_results`` — the whole-edge kernel.  VAMP ("Motions in
+  Microseconds") shows that validating the *entire* interpolated edge as
+  one wide batched operation is where sampling-based planners find their
+  orders of magnitude.  :meth:`CollisionChecker.motion_results_batch`
+  builds the ladders of a batch of edges in one vectorized pass
+  (:func:`repro.geometry.motion.interpolate_edges`), runs forward
+  kinematics once over all ladder rows (``body_frames_batch``), and
+  evaluates the (configs x links x obstacles) SAT grids behind a
+  conservative AABB broadphase in one stacked kernel invocation whose
+  per-edge early-exit statistics come from segment reductions
+  (:func:`repro.kernels.batch.segment_first_hit` and friends).  The
+  wavefront planner feeds a whole wave of speculative edges through one
+  call.
 
-Kernel backends
----------------
-
-Each checker runs on one of two interchangeable backends
-(:data:`repro.kernels.KERNEL_BACKENDS`):
-
-* ``"reference"`` — the original scalar code path: one Python-level SAT
-  call per (configuration, body, obstacle), early-exiting exactly where the
-  hardware would.
-* ``"batch"`` (default) — the geometry for a whole movement (every
-  interpolated waypoint x every body x every obstacle) is evaluated in a
-  few stacked ndarray passes (:mod:`repro.kernels.batch`), and the scalar
-  control flow is then *replayed* over the precomputed boolean masks.  The
-  replay visits checks in the scalar order and stops at the scalar early
-  exits, recording aggregated :class:`~repro.core.counters.OpCounter`
-  events — so decisions *and* operation counts are bit-identical to the
-  reference backend while the arithmetic runs at ndarray speed.
-
-The occupancy-grid checker's inner loop is already an ndarray pass per
-body, so it has no separate batch path.
-
-Collision-result cache
-----------------------
-
-With ``cache_size > 0`` every checker keeps a quantized-configuration LRU
-(:class:`repro.core.lru.LRUMap`, the software rendition of the Section IV-C
-multi-level caching): each configuration's verdict *and* the counter events
-its scalar check records are stored under the configuration's key, and a
-hit replays the stored events instead of recomputing — so cached runs stay
-bit-identical to uncached ones in both decisions and operation counts.
-The cache serves the batched :meth:`CollisionChecker.config_results` entry
-point (the wavefront planner's per-wave collision call); only cache misses
-touch forward kinematics and the SAT kernels (in one batched pass per
-call).  ``cache_quantum = 0``
-(default) keys on exact float bytes; a positive quantum buckets nearby
-configurations together, a documented approximation.  Registry metrics
-(``repro_cc_*``, ``repro_cache_events_total``) count *executed* work, while
-OpCounters always report the modeled hardware cost — the distinction that
-makes the cache observable without perturbing the cost model.
+``motion_in_collision`` picks between the last two once, when the checker
+is built, by the size of the SAT grid per configuration (body OBBs x
+obstacles, :data:`WHOLE_EDGE_MIN_PAIRS`): the whole-edge kernel's fixed
+costs pay off on arms among tens of obstacles, the per-movement path wins
+on small robots in sparse scenes.  Registry metrics (``repro_cc_*``) count
+*executed* work per path, while OpCounters always report the modeled
+hardware cost.
 """
 
 from __future__ import annotations
@@ -99,7 +72,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.counters import OpCounter
-from repro.core.lru import LRUMap
 from repro.core.robots import RobotModel
 from repro.core.world import Environment
 from repro.geometry.motion import interpolate_configs, interpolate_edges
@@ -114,6 +86,26 @@ from repro.geometry.sat import aabb_intersects_obb, obb_intersects_obb
 #: rewire-radius edges in the tens, workspace-scale probes beyond.
 LADDER_STEP_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
+#: Body-obstacle pairs per configuration (``robot.num_body_obbs *
+#: environment.num_obstacles``) from which ``motion_in_collision`` runs the
+#: whole-edge kernel instead of the per-movement path.  Measured sweep:
+#: per-movement time / whole-edge time for single edges of 0.5-1 steering
+#: steps (two-stage checker, batch backend, median over three scenes per
+#: point, 2-core Xeon x86_64, Python 3.11, numpy 2.4):
+#:
+#:   pairs  8    mobile2d/8    0.74-0.78    pairs  56   xarm7/8      1.21
+#:   pairs  16   drone3d/16    0.89-0.91    pairs  64   rozum/16     1.09-1.12
+#:   pairs  32   mobile2d/32   0.93         pairs  64   mobile2d/64  1.20
+#:   pairs  32   drone3d/32    0.89         pairs  64   drone3d/64   1.06
+#:   pairs  32   rozum/8       0.96-1.09    pairs  112  xarm7/16     1.24
+#:   pairs  48   viperx300/16  1.06-1.18    pairs  128  rozum/32     1.25
+#:                                          pairs  224  xarm7/32     1.51
+#:
+#: Below about 32 pairs the per-movement path's lower fixed cost wins,
+#: from about 48 up the whole-edge kernel's broadphase does; 64 sits above
+#: the noisy band in between.
+WHOLE_EDGE_MIN_PAIRS = 64
+
 
 class CollisionChecker:
     """Base class wiring a robot model to an environment.
@@ -122,13 +114,6 @@ class CollisionChecker:
         kernels: ``"batch"`` evaluates movement checks through the
             vectorized kernels with exact count replay; ``"reference"``
             keeps the original scalar per-object loops.
-        cache_size: capacity of the quantized-configuration collision
-            result cache; 0 (default) disables caching.
-        cache_quantum: configuration quantisation step for cache keys;
-            0.0 keys on exact float bytes (bit-identical planning).
-        edge_cache_size: capacity of the whole-edge result cache (keyed on
-            both endpoint configurations, quantised with the same
-            ``cache_quantum``); 0 (default) disables it.
     """
 
     #: Subclasses with a vectorized movement check set this True; others
@@ -141,9 +126,6 @@ class CollisionChecker:
         environment: Environment,
         motion_resolution: float,
         kernels: str = "batch",
-        cache_size: int = 0,
-        cache_quantum: float = 0.0,
-        edge_cache_size: int = 0,
     ):
         if robot.workspace_dim != environment.workspace_dim:
             raise ValueError(
@@ -156,35 +138,27 @@ class CollisionChecker:
             raise ValueError(
                 f"unknown kernel backend {kernels!r}; available: {KERNEL_BACKENDS}"
             )
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
-        if cache_quantum < 0:
-            raise ValueError("cache_quantum must be >= 0")
-        if edge_cache_size < 0:
-            raise ValueError("edge_cache_size must be >= 0")
         self.robot = robot
         self.environment = environment
         self.motion_resolution = motion_resolution
         self.kernels = kernels
-        self._config_cache = LRUMap(cache_size) if cache_size > 0 else None
-        self._edge_cache = LRUMap(edge_cache_size) if edge_cache_size > 0 else None
-        self._cache_quantum = cache_quantum
+        # True when checks run through the stacked kernels (batch backend, a
+        # checker that has them, and obstacles to test against).
+        self._batched = bool(
+            kernels == "batch"
+            and self._has_batch_kernels
+            and environment.num_obstacles
+        )
+        self._whole_edge_motions = self._batched and (
+            robot.num_body_obbs * environment.num_obstacles
+            >= WHOLE_EDGE_MIN_PAIRS
+        )
         # ``edge.validate`` fault hook: bound once (checkers are built per
         # plan, after any injector install) and refreshed by the planner at
         # plan() time; None in the steady state, one is-None check per edge.
         from repro.faults import get_injector
 
         self._injector = get_injector()
-
-    @property
-    def config_cache(self) -> Optional[LRUMap]:
-        """The collision-result cache (None when caching is disabled)."""
-        return self._config_cache
-
-    @property
-    def edge_cache(self) -> Optional[LRUMap]:
-        """The whole-edge result cache (None when disabled)."""
-        return self._edge_cache
 
     def config_in_collision(self, config: np.ndarray, counter=None) -> bool:
         """True when the robot at ``config`` intersects any obstacle."""
@@ -196,38 +170,33 @@ class CollisionChecker:
 
         The straight C-space segment is discretised at ``motion_resolution``
         and each configuration checked from the ``start`` side, stopping at
-        the first collision.  This is the single-edge case of
-        :meth:`motion_results_batch`: whole-ladder FK + one stacked kernel
-        pass (batch backend), the edge cache when enabled, and the captured
-        events merged into ``counter`` — bit-identical to the scalar
-        per-configuration walk.
+        the first collision.  Above :data:`WHOLE_EDGE_MIN_PAIRS` this is the
+        single-edge case of :meth:`motion_results_batch`, its captured
+        events merged into ``counter``; below it the per-movement path
+        (:meth:`_check_configs`) records straight into ``counter``.  Both
+        are bit-identical to the scalar per-configuration walk (integer
+        cost weights), which the whole-edge property tests pin.
         """
         bump("repro_cc_motion_checks_total",
              help="Motion (edge) collision queries issued")
         start = np.asarray(start, dtype=float)
         end = np.asarray(end, dtype=float)
-        if self._edge_cache is None:
-            # Single uncached edge: the per-movement path (whole-ladder FK
-            # + one kernel pass, events recorded straight into ``counter``)
-            # is the same stacked computation without the multi-edge
-            # reduction machinery, whose fixed costs only pay off across a
-            # wave.  Totals are identical either way (integer cost
-            # weights), which the whole-edge property tests pin.
-            injector = self._injector
-            if injector is not None:
-                injector.fire("edge.validate")
-            configs = interpolate_configs(start, end, self.motion_resolution)
-            observe("repro_cc_edge_ladder_steps", len(configs) - 1,
-                    help="Interpolation ladder length per validated edge",
-                    buckets=LADDER_STEP_BUCKETS)
-            bump("repro_cc_edge_validations_total",
-                 path="edge_kernel" if self._edge_batchable() else "scalar",
-                 help="Edge validations by execution path")
-            return self._check_configs(configs, counter)
-        verdict, events = self.motion_results_batch(start[None, :], end[None, :])[0]
-        if counter is not None:
-            counter.merge(events)
-        return verdict
+        if self._whole_edge_motions:
+            verdict, events = self.motion_results_batch(start[None, :], end[None, :])[0]
+            if counter is not None:
+                counter.merge(events)
+            return verdict
+        injector = self._injector
+        if injector is not None:
+            injector.fire("edge.validate")
+        configs = interpolate_configs(start, end, self.motion_resolution)
+        observe("repro_cc_edge_ladder_steps", len(configs) - 1,
+                help="Interpolation ladder length per validated edge",
+                buckets=LADDER_STEP_BUCKETS)
+        bump("repro_cc_edge_validations_total",
+             path="movement" if self._batched else "scalar",
+             help="Edge validations by execution path")
+        return self._check_configs(configs, counter)
 
     # ----------------------------------------------------- whole-edge results
 
@@ -237,114 +206,47 @@ class CollisionChecker:
         For each edge ``e`` the returned verdict and captured
         :class:`OpCounter` equal what the scalar reference's start-side
         early-exit walk of ``interpolate_configs(starts[e], ends[e])``
-        decides and records.  All cache-missing edges share one ladder
-        construction, one forward-kinematics batch, and one stacked kernel
-        pass; with ``edge_cache_size > 0`` previously seen edges replay
-        their stored result and skip the kernels entirely.
+        decides and records.  All edges share one ladder construction, one
+        forward-kinematics batch, and one stacked kernel pass; the
+        reference backend and the grid checker walk each ladder with the
+        scalar loop instead.
 
         The wavefront planner calls this once per wave with every
-        speculative edge; ``motion_in_collision`` routes through it with a
-        single edge.  Counter events are *captured* (not recorded into a
-        caller counter) so one computation can serve cache replays and the
-        planner's per-round sub-counters; integer cost weights make the
-        merged totals bitwise equal to direct recording.
+        speculative edge.  Counter events are *captured* (not recorded into
+        a caller counter) so the planner can charge each edge to its own
+        per-round sub-counter; integer cost weights make the merged totals
+        bitwise equal to direct recording.
         """
         starts = np.asarray(starts, dtype=float)
         ends = np.asarray(ends, dtype=float)
         count = len(starts)
-        results: List[tuple] = [None] * count
+        if not count:
+            return []
         injector = self._injector
         if injector is not None:
-            for e in range(count):
+            for _ in range(count):
                 injector.fire("edge.validate")
-        cache = self._edge_cache
-        if cache is None:
-            computed = self._compute_motion_results(starts, ends)
-            for e, (verdict, events, steps) in enumerate(computed):
-                results[e] = (verdict, events)
-                observe("repro_cc_edge_ladder_steps", steps,
-                        help="Interpolation ladder length per validated edge",
-                        buckets=LADDER_STEP_BUCKETS)
-            if count:
-                bump("repro_cc_edge_validations_total", count,
-                     path="edge_kernel" if self._edge_batchable() else "scalar",
-                     help="Edge validations by execution path")
-            return results
-        keys: List[bytes] = [b""] * count
-        miss_idx: List[int] = []
-        evictions_before = cache.evictions
-        for e in range(count):
-            key = self._cache_key(starts[e]) + self._cache_key(ends[e])
-            keys[e] = key
-            entry = cache.get(key)
-            if entry is not None:
-                verdict, events, steps = entry
-                results[e] = (verdict, events)
-                observe("repro_cc_edge_ladder_steps", steps,
-                        help="Interpolation ladder length per validated edge",
-                        buckets=LADDER_STEP_BUCKETS)
-            else:
-                miss_idx.append(e)
-        if miss_idx:
-            computed = self._compute_motion_results(starts[miss_idx], ends[miss_idx])
-            for e, (verdict, events, steps) in zip(miss_idx, computed):
-                results[e] = (verdict, events)
-                cache.put(keys[e], (verdict, events, steps))
-                observe("repro_cc_edge_ladder_steps", steps,
-                        help="Interpolation ladder length per validated edge",
-                        buckets=LADDER_STEP_BUCKETS)
-            bump("repro_cc_edge_validations_total", len(miss_idx),
-                 path="edge_kernel" if self._edge_batchable() else "scalar",
-                 help="Edge validations by execution path")
-            bump("repro_cache_events_total", len(miss_idx), cache="edge",
-                 event="miss", help="Software cache events by cache and outcome")
-        hit_count = count - len(miss_idx)
-        if hit_count:
-            bump("repro_cc_edge_validations_total", hit_count, path="cache",
-                 help="Edge validations by execution path")
-            bump("repro_cache_events_total", hit_count, cache="edge",
-                 event="hit", help="Software cache events by cache and outcome")
-        evicted = cache.evictions - evictions_before
-        if evicted:
-            bump("repro_cache_events_total", evicted, cache="edge",
-                 event="evict", help="Software cache events by cache and outcome")
-        return results
-
-    def _edge_batchable(self) -> bool:
-        """True when movement checks run through the stacked edge kernels."""
-        return bool(
-            self.kernels == "batch"
-            and self._has_batch_kernels
-            and self.environment.num_obstacles
-        )
-
-    def _compute_motion_results(self, starts: np.ndarray, ends: np.ndarray):
-        """Uncached whole-edge results: ``(verdict, events, steps)`` rows.
-
-        One vectorized ladder construction and (on the batch backend) one
-        FK batch + one stacked kernel pass cover *all* edges; the reference
-        backend and the grid checker keep the scalar per-configuration walk
-        per edge, captured into fresh counters.
-        """
         configs, offsets = interpolate_edges(starts, ends, self.motion_resolution)
-        steps_list = np.diff(offsets) - 1
-        if self._edge_batchable():
+        if self._batched:
             bodies = BodyBatch.from_frames(*self.robot.body_frames_batch(configs))
-            pairs = self._batch_motion_results(bodies, offsets)
+            results = self._batch_motion_results(bodies, offsets)
         else:
-            pairs = []
-            for e in range(len(starts)):
+            # Unbatched, _check_configs is the scalar per-configuration walk.
+            results = []
+            for e in range(count):
                 captured = OpCounter()
-                verdict = False
-                for config in configs[offsets[e]:offsets[e + 1]]:
-                    if self._config_scalar(config, captured):
-                        verdict = True
-                        break
-                pairs.append((verdict, captured))
-        return [
-            (verdict, events, int(steps_list[e]))
-            for e, (verdict, events) in enumerate(pairs)
-        ]
+                verdict = self._check_configs(
+                    configs[offsets[e]:offsets[e + 1]], captured
+                )
+                results.append((verdict, captured))
+        for steps in (np.diff(offsets) - 1).tolist():
+            observe("repro_cc_edge_ladder_steps", steps,
+                    help="Interpolation ladder length per validated edge",
+                    buckets=LADDER_STEP_BUCKETS)
+        bump("repro_cc_edge_validations_total", count,
+             path="edge_kernel" if self._batched else "scalar",
+             help="Edge validations by execution path")
+        return results
 
     def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
         """Per-edge ``(verdict, events)`` over stacked ladder body rows.
@@ -376,144 +278,22 @@ class CollisionChecker:
     def _check_configs(self, configs: np.ndarray, counter) -> bool:
         """Collision verdict over ordered configurations (first hit wins).
 
-        The batch path computes every waypoint's geometry wholesale, then
-        replays the scalar waypoint/body/obstacle iteration over the masks;
-        configurations past the first colliding one therefore contribute no
-        counter events, exactly like the scalar early exit.
-
-        Note the collision cache is deliberately NOT consulted here: the
-        per-configuration bookkeeping it needs costs more than it saves on
-        a single short movement.  Cached results flow through
-        :meth:`config_results`, where the wavefront planner amortises the
-        bookkeeping over a whole wave of edges; per-configuration event
-        sums equal the aggregate replay (integer cost weights), so both
-        entry points produce identical counters.
+        The per-movement path behind ``config_in_collision`` and, below
+        :data:`WHOLE_EDGE_MIN_PAIRS`, single movements.  On the batch
+        backend every waypoint's geometry is computed in one FK batch and
+        one kernel pass, then the scalar waypoint/body/obstacle iteration
+        is replayed over the masks; configurations past the first
+        colliding one therefore contribute no counter events, exactly like
+        the scalar early exit.  Otherwise this is the scalar reference
+        loop.
         """
-        if (
-            self.kernels == "batch"
-            and self._has_batch_kernels
-            and self.environment.num_obstacles
-        ):
+        if self._batched:
             bodies = BodyBatch.from_frames(*self.robot.body_frames_batch(configs))
             return self._batch_check(bodies, counter)
         for config in configs:
             if self._config_scalar(config, counter):
                 return True
         return False
-
-    @staticmethod
-    def _replay_config_results(verdicts, events, counter) -> bool:
-        """Scalar early-exit scan over per-configuration results.
-
-        Merges each configuration's stored counter events in order and stops
-        at the first collision — the exact event stream the scalar loop
-        produces for the same movement.
-        """
-        for verdict, captured in zip(verdicts, events):
-            if counter is not None:
-                counter.merge(captured)
-            if verdict:
-                return True
-        return False
-
-    # --------------------------------------------- per-configuration results
-
-    def _cache_key(self, config: np.ndarray) -> bytes:
-        if self._cache_quantum > 0.0:
-            return np.round(config / self._cache_quantum).astype(np.int64).tobytes()
-        return config.tobytes()
-
-    def config_results(self, configs: np.ndarray):
-        """Per-configuration ``(verdicts, events)`` with cache reuse.
-
-        Returns a boolean verdict and an :class:`OpCounter` of the events the
-        scalar check of that configuration records, for every row of
-        ``configs``.  Cache misses are computed in one batched kernel pass
-        (or the scalar loop on the reference backend) and inserted; hits
-        return the stored pair.  The wavefront planner calls this once per
-        wave with every speculative edge's waypoints concatenated, then
-        replays per-edge slices at commit time.
-        """
-        configs = np.asarray(configs, dtype=float)
-        cache = self._config_cache
-        if cache is None:
-            return self._compute_config_results(configs)
-        count = len(configs)
-        verdicts: List = [None] * count
-        events: List = [None] * count
-        missing: "dict" = {}
-        for i in range(count):
-            key = self._cache_key(configs[i])
-            entry = cache.get(key)
-            if entry is not None:
-                verdicts[i], events[i] = entry
-            else:
-                missing.setdefault(key, []).append(i)
-        hit_count = count - sum(len(rows) for rows in missing.values())
-        evictions_before = cache.evictions
-        if missing:
-            order = list(missing)
-            miss_configs = configs[[missing[key][0] for key in order]]
-            miss_verdicts, miss_events = self._compute_config_results(miss_configs)
-            for key, verdict, captured in zip(order, miss_verdicts, miss_events):
-                cache.put(key, (verdict, captured))
-                for i in missing[key]:
-                    verdicts[i], events[i] = verdict, captured
-        if hit_count:
-            bump("repro_cache_events_total", hit_count, cache="collision",
-                 event="hit", help="Software cache events by cache and outcome")
-        if missing:
-            bump("repro_cache_events_total", len(missing), cache="collision",
-                 event="miss", help="Software cache events by cache and outcome")
-        evicted = cache.evictions - evictions_before
-        if evicted:
-            bump("repro_cache_events_total", evicted, cache="collision",
-                 event="evict", help="Software cache events by cache and outcome")
-        return verdicts, events
-
-    def _compute_config_results(self, configs: np.ndarray):
-        """Uncached per-configuration results (batched when possible)."""
-        if (
-            self.kernels == "batch"
-            and self._has_batch_kernels
-            and self.environment.num_obstacles
-        ):
-            bodies = BodyBatch.from_frames(*self.robot.body_frames_batch(configs))
-            return self._batch_config_results(bodies, len(configs))
-        verdicts, events = [], []
-        for config in configs:
-            captured = OpCounter()
-            verdicts.append(self._config_scalar(config, captured))
-            events.append(captured)
-        return verdicts, events
-
-    def _batch_config_results(self, bodies: BodyBatch, count: int):
-        """Vectorized per-configuration verdicts + events (batch backend)."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _per_config_replay(mask: np.ndarray, kind: str, dim: int, count: int):
-        """Per-configuration replay of a flat SAT mask.
-
-        ``mask`` rows follow the scalar order (configuration-major,
-        body-minor, obstacle-innermost); each configuration's block gets its
-        own early-exit event count, so merging the blocks in order
-        reproduces the aggregate :meth:`_replay_flat` totals exactly.
-        """
-        flat = mask.reshape(count, -1)
-        block = flat.shape[1]
-        hit_any = flat.any(axis=1)
-        firsts = np.argmax(flat, axis=1)
-        verdicts, events = [], []
-        for i in range(count):
-            hit = bool(hit_any[i])
-            n = int(firsts[i]) + 1 if hit else block
-            captured = OpCounter()
-            if n:
-                captured.record(kind, dim=dim, n=n)
-            verdicts.append(hit)
-            events.append(captured)
-        return verdicts, events
 
     def _config_scalar(self, config: np.ndarray, counter) -> bool:
         """Scalar single-configuration check (the reference code path)."""
@@ -566,14 +346,6 @@ class BruteOBBChecker(CollisionChecker):
         # innermost: exactly the row-major flattening of ``mask``.
         return self._replay_flat(mask, "sat_obb_obb", obs.dim, counter)
 
-    def _batch_config_results(self, bodies: BodyBatch, count: int):
-        obs = self.environment.obstacle_tensors
-        mask = kernels_batch.obb_obb_grid(
-            bodies.centers, bodies.half_extents, bodies.rotations,
-            obs.centers, obs.half_extents, obs.rotations,
-        )
-        return self._per_config_replay(mask, "sat_obb_obb", obs.dim, count)
-
     def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
         obs = self.environment.obstacle_tensors
         bpc = bodies.rows // int(offsets[-1])
@@ -614,14 +386,6 @@ class BruteAABBChecker(CollisionChecker):
         )
         return self._replay_flat(mask, "sat_aabb_obb", obs.dim, counter)
 
-    def _batch_config_results(self, bodies: BodyBatch, count: int):
-        obs = self.environment.obstacle_tensors
-        mask = kernels_batch.aabb_obb_grid(
-            obs.aabb_lo, obs.aabb_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-        )
-        return self._per_config_replay(mask, "sat_aabb_obb", obs.dim, count)
-
     def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
         obs = self.environment.obstacle_tensors
         bpc = bodies.rows // int(offsets[-1])
@@ -661,15 +425,8 @@ class TwoStageChecker(CollisionChecker):
         motion_resolution: float,
         fine_stage: bool = True,
         kernels: str = "batch",
-        cache_size: int = 0,
-        cache_quantum: float = 0.0,
-        edge_cache_size: int = 0,
     ):
-        super().__init__(
-            robot, environment, motion_resolution, kernels=kernels,
-            cache_size=cache_size, cache_quantum=cache_quantum,
-            edge_cache_size=edge_cache_size,
-        )
+        super().__init__(robot, environment, motion_resolution, kernels=kernels)
         self.fine_stage = fine_stage
         self._rtree = environment.rtree
 
@@ -772,95 +529,6 @@ class TwoStageChecker(CollisionChecker):
             bump("repro_cc_stage2_checks_total", checks,
                  help="Exact OBB-OBB checks run in the second stage")
         return hit
-
-    def _batch_config_results(self, bodies: BodyBatch, count: int):
-        """Per-configuration two-stage results from one stacked kernel pass.
-
-        The stage-1/stage-2 tensors are computed exactly as in
-        :meth:`_batch_check`; each configuration's contiguous block of body
-        rows is then replayed independently, so a block's events equal what
-        the scalar loop records for that configuration alone.
-        """
-        env = self.environment
-        ftree = env.flat_rtree
-        dim = env.workspace_dim
-        lo, hi = bodies.aabb_corners()
-        aabb_mask = kernels_batch.aabb_aabb_grid(lo, hi, ftree.unit_lo, ftree.unit_hi)
-        obb_mask = kernels_batch.aabb_obb_grid(
-            ftree.unit_lo, ftree.unit_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-        )
-        split = ftree.num_nodes
-        n_aabb, n_obb, candidates = ftree.batch_query_counts(
-            aabb_mask[:, :split], obb_mask[:, :split],
-            aabb_mask[:, split:], obb_mask[:, split:],
-        )
-        survivors = candidates.sum(axis=1)
-        bpc = bodies.rows // count
-        rng = np.arange(count)
-        # Per-configuration traversal statistics as (config, body) blocks;
-        # cumulative sums give each block's "first done rows" totals without
-        # per-config slicing.
-        na_cum = n_aabb.reshape(count, bpc).cumsum(axis=1)
-        no_cum = n_obb.reshape(count, bpc).cumsum(axis=1)
-        su_cum = survivors.reshape(count, bpc).cumsum(axis=1)
-
-        if not self.fine_stage:
-            block_hit = survivors.reshape(count, bpc) > 0
-            hit_any = block_hit.any(axis=1)
-            dones = np.where(hit_any, np.argmax(block_hit, axis=1) + 1, bpc)
-            checks_arr = np.zeros(count, dtype=np.int64)
-        else:
-            stage2 = self._stage2_hits(bodies, candidates)
-            order = ftree.entry_order
-            cand_ord = candidates[:, order]
-            hits_ord = stage2[:, order]
-            block_hit = hits_ord.any(axis=1).reshape(count, bpc)
-            hit_any = block_hit.any(axis=1)
-            rels = np.argmax(block_hit, axis=1)
-            dones = np.where(hit_any, rels + 1, bpc)
-            # Misses run the SAT on every surviving candidate; hits stop at
-            # the hitting candidate of the hitting row.
-            checks_arr = su_cum[:, -1].astype(np.int64)
-            for k in np.nonzero(hit_any)[0]:
-                rel = int(rels[k])
-                row = k * bpc + rel
-                first = int(np.argmax(hits_ord[row]))
-                before = int(su_cum[k, rel - 1]) if rel else 0
-                checks_arr[k] = before + int(
-                    np.count_nonzero(cand_ord[row, : first + 1])
-                )
-
-        aabb_tot = na_cum[rng, dones - 1]
-        obb_tot = no_cum[rng, dones - 1]
-        sur_tot = su_cum[rng, dones - 1]
-        # Python lists: the per-config loop below indexes every entry once,
-        # and list indexing is several times cheaper than ndarray scalars.
-        dones_l = dones.tolist()
-        aabb_l = aabb_tot.tolist()
-        obb_l = obb_tot.tolist()
-        checks_l = checks_arr.tolist()
-        verdicts: List[bool] = [bool(h) for h in hit_any.tolist()]
-        events: List[OpCounter] = []
-        for k in range(count):
-            captured = OpCounter()
-            captured.record("aabb_derive", dim=dim, n=dones_l[k])
-            if aabb_l[k]:
-                captured.record("sat_aabb_aabb", dim=dim, n=int(aabb_l[k]))
-            if obb_l[k]:
-                captured.record("sat_aabb_obb", dim=dim, n=int(obb_l[k]))
-            if checks_l[k]:
-                captured.record("sat_obb_obb", dim=dim, n=checks_l[k])
-            events.append(captured)
-        bump("repro_cc_stage1_queries_total", int(dones.sum()),
-             help="Two-stage first-stage (R-tree AABB filter) queries")
-        if int(sur_tot.sum()):
-            bump("repro_cc_stage1_survivors_total", int(sur_tot.sum()),
-                 help="Obstacles surviving the first-stage AABB filter")
-        if int(checks_arr.sum()):
-            bump("repro_cc_stage2_checks_total", int(checks_arr.sum()),
-                 help="Exact OBB-OBB checks run in the second stage")
-        return verdicts, events
 
     def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
         """Whole-edge two-stage results from one stacked traversal pass.
@@ -994,15 +662,8 @@ class OccupancyGridChecker(CollisionChecker):
         motion_resolution: float,
         resolution: float = 1.0,
         kernels: str = "batch",
-        cache_size: int = 0,
-        cache_quantum: float = 0.0,
-        edge_cache_size: int = 0,
     ):
-        super().__init__(
-            robot, environment, motion_resolution, kernels=kernels,
-            cache_size=cache_size, cache_quantum=cache_quantum,
-            edge_cache_size=edge_cache_size,
-        )
+        super().__init__(robot, environment, motion_resolution, kernels=kernels)
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         self.resolution = resolution

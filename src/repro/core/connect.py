@@ -6,8 +6,8 @@ planner tries to connect them after every extension.  MOPED's algorithmic
 optimisations (two-stage collision checking, SI-MBR-Tree search, O(1)
 insertion) apply per tree unchanged, which is the paper's claim that its
 techniques transfer across the whole RRT family.  This implementation
-shares the full PR 3-8 machinery with the RRT\\* loop — batch collision
-kernels, collision/neighborhood/edge caches, whole-edge
+shares the full machinery of the RRT\\* loop — batch collision kernels,
+whole-edge
 :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
 validation, the PR 5 deadline / op-budget anytime plumbing, and
 cooperative cancellation for portfolio racing — so ablations compose and
@@ -58,16 +58,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.collision import make_checker
 from repro.core.config import PlannerConfig
 from repro.core.counters import OpCounter
 from repro.core.metrics import PlanResult, RoundRecord, path_length
-from repro.core.neighbors import make_strategy
-from repro.core.rng import LFSRSampler, NumpySampler
 from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
 from repro.core.world import PlanningTask
-from repro.core.rrtstar import _CC_KINDS, _MAINT_KINDS, _NS_KINDS, _RunState
+from repro.core.rrtstar import (
+    _CC_KINDS, _MAINT_KINDS, _NS_KINDS, _RunState, build_parts,
+)
 from repro.obs import PhaseRecorder, bump
 
 #: Steering steps per greedy-connect chunk.  A blocked whole-segment
@@ -81,48 +80,13 @@ class RRTConnectPlanner:
     """Bidirectional RRT with greedy whole-segment connect extensions."""
 
     def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
-        if task.start.shape != (robot.dof,) or task.goal.shape != (robot.dof,):
-            raise ValueError(
-                f"task configurations must be {robot.dof}-dimensional for {robot.name}"
-            )
+        self.checker, new_strategy, self.sampler = build_parts(robot, task, config)
+        self.strategies = (new_strategy(), new_strategy())
         self.robot = robot
         self.task = task
         self.config = config
         self.step = config.resolved_step(robot.step_size)
         self.chunk = _CHUNK_STEPS * self.step
-        resolution = config.resolved_motion_resolution(robot.step_size)
-        checker_kwargs = {"kernels": config.kernels}
-        if config.checker == "two_stage":
-            checker_kwargs["fine_stage"] = config.fine_stage
-        cache_size = config.resolved_collision_cache()
-        if cache_size:
-            checker_kwargs["cache_size"] = cache_size
-            checker_kwargs["cache_quantum"] = config.cache_quantum
-        edge_cache_size = config.resolved_edge_cache()
-        if edge_cache_size:
-            checker_kwargs["edge_cache_size"] = edge_cache_size
-            checker_kwargs.setdefault("cache_quantum", config.cache_quantum)
-        self.checker = make_checker(
-            config.checker, robot, task.environment, resolution, **checker_kwargs
-        )
-
-        def new_strategy():
-            return make_strategy(
-                config.neighbor_strategy,
-                robot.dof,
-                steering_insert=config.steering_insert,
-                approx_neighborhood=config.approx_neighborhood,
-                capacity=config.simbr_capacity,
-                kd_rebuild_every=config.kd_rebuild_every,
-                approx_scope=config.approx_scope,
-                neighborhood_cache=config.resolved_neighborhood_cache(),
-            )
-
-        self.strategies = (new_strategy(), new_strategy())
-        sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
-        if sampler_cls is None:
-            raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
-        self.sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
 
     # ------------------------------------------------------------------- plan
 
@@ -561,20 +525,6 @@ class RRTConnectPlanner:
             degraded_reason=state.degraded_reason,
             best_goal_distance=goal_distance,
         )
-
-    def cache_stats(self) -> dict:
-        """Hit/miss statistics of the software caches (empty when disabled)."""
-        stats = {}
-        if self.checker.config_cache is not None:
-            stats["collision"] = self.checker.config_cache.stats()
-        if self.checker.edge_cache is not None:
-            stats["edge"] = self.checker.edge_cache.stats()
-        for side, strategy in enumerate(self.strategies):
-            index = getattr(strategy, "tree", None)
-            cache = getattr(index, "neighborhood_cache", None)
-            if cache is not None:
-                stats[f"neighborhood{side}"] = cache.stats()
-        return stats
 
     def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
         registry = obs.registry

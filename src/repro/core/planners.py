@@ -20,7 +20,7 @@ def make_planner(robot: RobotModel, task: PlanningTask, config: PlannerConfig):
 
     ``"rrtstar"`` (default) returns the single-tree optimizing planner;
     ``"connect"`` returns the bidirectional feasibility planner.  Both
-    expose the same ``plan() -> PlanResult`` / ``cache_stats()`` surface.
+    expose the same ``plan() -> PlanResult`` surface.
     """
     if config.mode == "connect":
         return RRTConnectPlanner(robot, task, config)

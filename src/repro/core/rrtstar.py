@@ -31,6 +31,7 @@ equivalent speculation depth.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from typing import Deque, List, Optional, Tuple
@@ -98,52 +99,54 @@ class _RunState:
         return False
 
 
+def build_parts(robot: RobotModel, task: PlanningTask, config: PlannerConfig):
+    """The collision checker, neighbor-strategy factory and sampler that
+    ``config`` selects, built in one place for every planner loop.
+
+    Returns ``(checker, new_strategy, sampler)``; ``new_strategy()`` builds
+    a fresh neighbor index (RRT-Connect needs one per tree).
+    """
+    if task.start.shape != (robot.dof,) or task.goal.shape != (robot.dof,):
+        raise ValueError(
+            f"task configurations must be {robot.dof}-dimensional for {robot.name}"
+        )
+    checker_kwargs = {"kernels": config.kernels}
+    if config.checker == "two_stage":
+        checker_kwargs["fine_stage"] = config.fine_stage
+    checker = make_checker(
+        config.checker, robot, task.environment,
+        config.resolved_motion_resolution(robot.step_size), **checker_kwargs
+    )
+    new_strategy = functools.partial(
+        make_strategy,
+        config.neighbor_strategy,
+        robot.dof,
+        steering_insert=config.steering_insert,
+        approx_neighborhood=config.approx_neighborhood,
+        capacity=config.simbr_capacity,
+        kd_rebuild_every=config.kd_rebuild_every,
+        approx_scope=config.approx_scope,
+    )
+    sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
+    if sampler_cls is None:
+        raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
+    sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
+    if config.informed:
+        sampler = InformedSampler(sampler, task.start, task.goal, seed=config.seed)
+    return checker, new_strategy, sampler
+
+
 class RRTStarPlanner:
     """RRT\\* planner over a robot model and planning task."""
 
     def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
-        if task.start.shape != (robot.dof,) or task.goal.shape != (robot.dof,):
-            raise ValueError(
-                f"task configurations must be {robot.dof}-dimensional for {robot.name}"
-            )
+        self.checker, new_strategy, self.sampler = build_parts(robot, task, config)
+        self.strategy = new_strategy()
         self.robot = robot
         self.task = task
         self.config = config
         self.step = config.resolved_step(robot.step_size)
         self.goal_tolerance = config.resolved_goal_tolerance(robot.step_size)
-        resolution = config.resolved_motion_resolution(robot.step_size)
-        checker_kwargs = {"kernels": config.kernels}
-        if config.checker == "two_stage":
-            checker_kwargs["fine_stage"] = config.fine_stage
-        cache_size = config.resolved_collision_cache()
-        if cache_size:
-            checker_kwargs["cache_size"] = cache_size
-            checker_kwargs["cache_quantum"] = config.cache_quantum
-        edge_cache_size = config.resolved_edge_cache()
-        if edge_cache_size:
-            checker_kwargs["edge_cache_size"] = edge_cache_size
-            checker_kwargs.setdefault("cache_quantum", config.cache_quantum)
-        self.checker = make_checker(
-            config.checker, robot, task.environment, resolution, **checker_kwargs
-        )
-        self.strategy = make_strategy(
-            config.neighbor_strategy,
-            robot.dof,
-            steering_insert=config.steering_insert,
-            approx_neighborhood=config.approx_neighborhood,
-            capacity=config.simbr_capacity,
-            kd_rebuild_every=config.kd_rebuild_every,
-            approx_scope=config.approx_scope,
-            neighborhood_cache=config.resolved_neighborhood_cache(),
-        )
-        sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
-        if sampler_cls is None:
-            raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
-        self.sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
-        if config.informed:
-            self.sampler = InformedSampler(
-                self.sampler, task.start, task.goal, seed=config.seed
-            )
 
     # ------------------------------------------------------------------- plan
 
@@ -601,19 +604,6 @@ class RRTStarPlanner:
                 state.cost_history.append((iteration, best))
             if isinstance(self.sampler, InformedSampler):
                 self.sampler.update_best_cost(best)
-
-    def cache_stats(self) -> dict:
-        """Hit/miss statistics of the software caches (empty when disabled)."""
-        stats = {}
-        if self.checker.config_cache is not None:
-            stats["collision"] = self.checker.config_cache.stats()
-        if self.checker.edge_cache is not None:
-            stats["edge"] = self.checker.edge_cache.stats()
-        index = getattr(self.strategy, "tree", None)
-        cache = getattr(index, "neighborhood_cache", None)
-        if cache is not None:
-            stats["neighborhood"] = cache.stats()
-        return stats
 
     def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
         """Run-level metrics: plan count/latency and Fig-3 MAC categories."""

@@ -146,6 +146,33 @@ def spec_to_request(spec: Dict, request_id: str = "") -> PlanRequest:
     )
 
 
+#: ``PlannerConfig`` keys an older peer or journal may still send, with the
+#: one value each is dropped at (``None``: any value).  The software result
+#: caches these keys sized never changed a plan; a nonzero quantum did, so
+#: it is rejected rather than silently planned exactly.
+_RETIRED_CONFIG_KEYS = {
+    "collision_cache": None,
+    "neighborhood_cache": None,
+    "edge_cache": None,
+    "cache_quantum": 0.0,
+}
+
+
+def _config_from_wire(data: Dict) -> PlannerConfig:
+    """``PlannerConfig`` from its wire dict, dropping retired keys."""
+    fields = dict(data)
+    for key, inert in _RETIRED_CONFIG_KEYS.items():
+        if key not in fields:
+            continue
+        value = fields.pop(key)
+        if inert is not None and value != inert:
+            raise InvalidRequest(
+                f"config key {key!r} is no longer supported "
+                f"(only {inert!r} is accepted, got {value!r})"
+            )
+    return PlannerConfig(**fields)
+
+
 def request_from_wire(data: Dict, request_id: str = "") -> PlanRequest:
     """JSON body -> :class:`PlanRequest` (full or spec form).
 
@@ -171,7 +198,7 @@ def request_from_wire(data: Dict, request_id: str = "") -> PlanRequest:
         raise InvalidRequest("request body needs 'task' (full) or 'spec'")
     try:
         task = task_from_dict(data["task"])
-        config = PlannerConfig(**data.get("config", {}))
+        config = _config_from_wire(data.get("config", {}))
         timeout_s = data.get("timeout_s")
         portfolio = data.get("portfolio")
         if portfolio is not None and not isinstance(portfolio, (list, tuple)):

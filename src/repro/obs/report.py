@@ -125,12 +125,11 @@ def build_report(
             }
         )
 
-    # Software-cache effectiveness (collision-result and reused-neighborhood
-    # caches, plus the request-level plan cache as ``plan`` and the
-    # network shard tier as ``plan_shard``): fold the (cache, event) series
-    # into per-cache hit/miss/evict totals.  These count *executed* work —
-    # OpCounters keep reporting the modeled cost — so the hit rate here is
-    # exactly the work the caches saved the host.
+    # Software-cache effectiveness (the request-level plan cache as
+    # ``plan`` and the network shard tier as ``plan_shard``): fold the
+    # (cache, event) series into per-cache hit/miss/evict totals.  These
+    # count *executed* work — OpCounters keep reporting the modeled cost —
+    # so the hit rate here is exactly the work the caches saved the host.
     caches: Dict[str, Dict[str, float]] = {}
     for labels, value in metrics.get("repro_cache_events_total", []):
         name = labels.get("cache")
@@ -143,9 +142,10 @@ def build_report(
         lookups = entry["hit"] + entry["miss"]
         entry["hit_rate"] = (entry["hit"] / lookups) if lookups else 0.0
 
-    # Whole-edge validation: motion queries, which execution path served
-    # them (edge_kernel / scalar / cache), and the mean interpolation-
-    # ladder length from the per-edge histogram.
+    # Edge validation: motion queries, which execution path served them
+    # (``edge_kernel`` = the whole-edge kernel, ``movement`` = the
+    # per-movement batched path, ``scalar`` = the reference loop), and the
+    # mean interpolation-ladder length from the per-edge histogram.
     edge_paths = dict(sorted(_label_map(
         metrics.get("repro_cc_edge_validations_total", []), "path"
     ).items()))

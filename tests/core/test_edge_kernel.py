@@ -2,11 +2,12 @@
 
 Property tests (Hypothesis) that :meth:`motion_results_batch` — the stacked
 whole-edge kernel path with its conservative AABB broadphase — returns, for
-every checker variant, exactly the verdict, the first-colliding ladder
-index, and the per-phase OpCounter totals of the scalar reference's
-start-side early-exit walk; plus planner-level wave/scalar bit-equality at
-W in {1, 4, 16} and mask-equality of the broadphased kernels against the
-full grids they replace.
+every checker variant, exactly the verdict and the per-phase OpCounter
+totals of the scalar reference's start-side early-exit walk, and that
+``motion_in_collision`` does too on both sides of the problem size at which
+it switches from the per-movement path to the whole-edge kernel; plus
+planner-level wave/scalar bit-equality at W in {1, 4, 16} and mask-equality
+of the broadphased kernels against the full grids they replace.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.collision import make_checker
+from repro.core.collision import WHOLE_EDGE_MIN_PAIRS, make_checker
 from repro.core.config import PlannerConfig
 from repro.core.counters import OpCounter
 from repro.core.robots import get_robot
@@ -30,32 +31,36 @@ ROBOT = get_robot("mobile2d")
 ENV = random_task("mobile2d", 12, seed=3).environment
 RESOLUTION = ROBOT.step_size / 4.0
 
-
-def _checker(name, **kwargs):
-    return make_checker(name, ROBOT, ENV, RESOLUTION, **kwargs)
+#: One scene on each side of WHOLE_EDGE_MIN_PAIRS: (robot, environment,
+#: whether single movements run the whole-edge kernel).  mobile2d has one
+#: body OBB (12 pairs per configuration), rozum four (128 pairs).
+SCENES = (
+    (ROBOT, ENV, False),
+    (get_robot("rozum"), random_task("rozum", 32, seed=3).environment, True),
+)
 
 
 def _scalar_reference(golden, start, end):
     """The golden semantics: per-config walk from the start side.
 
-    Returns (verdict, captured counter, first-colliding ladder index or
-    None) using the reference backend's scalar single-config check.
+    Returns (verdict, captured counter) using the reference backend's
+    scalar single-config check.
     """
     configs = interpolate_configs(start, end, golden.motion_resolution)
     captured = OpCounter()
-    for i, config in enumerate(configs):
+    for config in configs:
         if golden._config_scalar(config, captured):
-            return True, captured, i
-    return False, captured, None
+            return True, captured
+    return False, captured
 
 
 @st.composite
-def edge_batches(draw):
+def edge_batches(draw, robot):
     """1-5 short random movements inside the robot's configuration bounds."""
     n = draw(st.integers(1, 5))
-    dof = ROBOT.dof
+    dof = robot.dof
     unit = st.floats(0.0, 1.0, allow_nan=False)
-    lo, hi = ROBOT.config_lo, ROBOT.config_hi
+    lo, hi = robot.config_lo, robot.config_hi
     u = np.array([[draw(unit) for _ in range(dof)] for _ in range(n)])
     v = np.array([[draw(unit) for _ in range(dof)] for _ in range(n)])
     lengths = np.array([draw(st.floats(0.0, 2.0)) for _ in range(n)])
@@ -64,7 +69,7 @@ def edge_batches(draw):
     norms = np.linalg.norm(deltas, axis=1, keepdims=True)
     deltas = np.where(norms > 1e-9, deltas / np.maximum(norms, 1e-9), 1.0)
     ends = np.clip(
-        starts + deltas * lengths[:, None] * ROBOT.step_size, lo, hi
+        starts + deltas * lengths[:, None] * robot.step_size, lo, hi
     )
     return starts, ends
 
@@ -72,50 +77,34 @@ def edge_batches(draw):
 class TestWholeEdgeBitIdentity:
     @pytest.mark.parametrize("name", CHECKER_NAMES)
     @settings(max_examples=25, deadline=None)
-    @given(batch=edge_batches())
-    def test_matches_scalar_reference(self, name, batch):
-        """Whole-edge verdicts and counters equal the golden scalar walk."""
-        starts, ends = batch
-        checker = _checker(name)
-        golden = _checker(name, kernels="reference")
-        results = checker.motion_results_batch(starts, ends)
-        assert len(results) == len(starts)
-        for e, (verdict, events) in enumerate(results):
-            gold_verdict, gold_events, _ = _scalar_reference(
-                golden, starts[e], ends[e]
-            )
-            assert verdict == gold_verdict
-            assert events.to_dict() == gold_events.to_dict()
-
-    @pytest.mark.parametrize("name", CHECKER_NAMES)
-    @settings(max_examples=15, deadline=None)
-    @given(batch=edge_batches())
-    def test_first_colliding_index_matches(self, name, batch):
-        """The per-config path agrees on *which* waypoint collides first."""
-        starts, ends = batch
-        checker = _checker(name)
-        golden = _checker(name, kernels="reference")
-        for e in range(len(starts)):
-            _, _, gold_first = _scalar_reference(golden, starts[e], ends[e])
-            configs = interpolate_configs(starts[e], ends[e], RESOLUTION)
-            verdicts, _ = checker.config_results(configs)
-            hits = [i for i, v in enumerate(verdicts) if v]
-            first = hits[0] if hits else None
-            assert first == gold_first
-
-    @pytest.mark.parametrize("name", CHECKER_NAMES)
-    @settings(max_examples=15, deadline=None)
-    @given(batch=edge_batches())
-    def test_edge_cache_replay_is_identical(self, name, batch):
-        """A cache hit replays the stored result bit-for-bit."""
-        starts, ends = batch
-        cached = _checker(name, edge_cache_size=64)
-        cold = cached.motion_results_batch(starts, ends)
-        warm = cached.motion_results_batch(starts, ends)
-        for (v1, e1), (v2, e2) in zip(cold, warm):
-            assert v1 == v2
-            assert e1.to_dict() == e2.to_dict()
-        assert cached.edge_cache.stats()["hits"] >= len(starts)
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, name, data):
+        """Whole-edge verdicts and counters equal the golden scalar walk,
+        and so do ``motion_in_collision``'s on either side of the
+        crossover between its two paths."""
+        # The grid checker has no batched path to choose between.
+        scenes = SCENES[:1] if name == "grid" else SCENES
+        for robot, env, whole_edge in scenes:
+            resolution = robot.step_size / 4.0
+            checker = make_checker(name, robot, env, resolution)
+            golden = make_checker(name, robot, env, resolution, kernels="reference")
+            pairs = robot.num_body_obbs * env.num_obstacles
+            assert (pairs >= WHOLE_EDGE_MIN_PAIRS) == whole_edge
+            assert checker._whole_edge_motions == whole_edge
+            starts, ends = data.draw(edge_batches(robot))
+            results = checker.motion_results_batch(starts, ends)
+            assert len(results) == len(starts)
+            for e, (verdict, events) in enumerate(results):
+                gold_verdict, gold_events = _scalar_reference(
+                    golden, starts[e], ends[e]
+                )
+                assert verdict == gold_verdict
+                assert events.to_dict() == gold_events.to_dict()
+                captured = OpCounter()
+                assert checker.motion_in_collision(
+                    starts[e], ends[e], captured
+                ) == gold_verdict
+                assert captured.to_dict() == gold_events.to_dict()
 
 
 class TestWavePlannerBitIdentity:

@@ -141,6 +141,16 @@ class TestRoutes(unittest.TestCase):
         self.assertEqual(code, 400)
         self.assertEqual(body["status"], "invalid")
 
+    def test_retired_nonzero_cache_quantum_is_400_invalid(self):
+        from repro.net.wire import request_to_wire, spec_to_request
+
+        body = request_to_wire(spec_to_request(dict(SPEC_BODY["spec"])))
+        body["config"]["cache_quantum"] = 0.5
+        code, reply, _ = self.fx.request("POST", "/plan", body)
+        self.assertEqual(code, 400)
+        self.assertEqual(reply["status"], "invalid")
+        self.assertIn("cache_quantum", reply["error"])
+
     def test_healthz_shape(self):
         code, body, _ = self.fx.request("GET", "/healthz")
         self.assertEqual(code, 200)

@@ -91,6 +91,25 @@ class TestRequestWire(unittest.TestCase):
         with self.assertRaises(InvalidRequest):
             request_from_wire({"spec": [1, 2, 3]})
 
+    def test_retired_cache_keys_are_dropped(self):
+        """Bodies from peers that still send the retired cache knobs parse
+        to the same request as bodies without them."""
+        full = request_to_wire(spec_to_request(dict(SPEC)))
+        want = request_from_wire(_json_round_trip(full)).cache_key()
+        for extra in ({"collision_cache": None, "neighborhood_cache": None,
+                       "edge_cache": None, "cache_quantum": 0.0},
+                      {"collision_cache": 4096, "neighborhood_cache": 0,
+                       "edge_cache": 64, "cache_quantum": 0}):
+            old = _json_round_trip(full)
+            old["config"].update(extra)
+            self.assertEqual(request_from_wire(old).cache_key(), want)
+
+    def test_retired_nonzero_cache_quantum_is_invalid(self):
+        full = request_to_wire(spec_to_request(dict(SPEC)))
+        full["config"]["cache_quantum"] = 0.5
+        with self.assertRaisesRegex(InvalidRequest, "cache_quantum"):
+            request_from_wire(_json_round_trip(full))
+
     def test_bad_config_field_is_invalid_not_a_crash(self):
         full = request_to_wire(spec_to_request(dict(SPEC)))
         full["config"]["no_such_knob"] = 1

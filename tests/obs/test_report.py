@@ -147,35 +147,56 @@ class TestCacheSection:
         report = report_from_files(metrics=str(path))
         assert report["caches"] == {}
 
-    def test_planner_run_populates_cache_metrics(self, tmp_path):
-        """End to end: a wavefront run's exported metrics carry cache events."""
-        from repro import obs
-        from repro.core.moped import config_for_variant
-        from repro.core.robots import get_robot
-        from repro.core.rrtstar import plan
-        from repro.workloads.generator import random_task
 
-        previous = obs.install(
-            obs.Tracer(enabled=False), obs.MetricsRegistry(enabled=True)
-        )
-        try:
-            task = random_task("mobile2d", 12, seed=6)
-            config = config_for_variant("v1", max_samples=80, seed=6,
-                                        wave_width=8)
-            plan(get_robot("mobile2d"), task, config)
-            path = tmp_path / "run.prom"
-            obs.get_registry().export(path)
-        finally:
-            obs.restore(previous)
-        report = report_from_files(metrics=str(path))
-        # The wavefront planner validates edges whole, so its cache traffic
-        # lands on the whole-edge cache (the per-configuration cache still
-        # serves the config_results entry point).
-        edge = report["caches"]["edge"]
-        assert edge["hit"] + edge["miss"] > 0
-        assert 0.0 <= edge["hit_rate"] <= 1.0
+def _planner_run_report(tmp_path, robot_name, obstacles, wave_width,
+                        samples=80):
+    """The report built from one planner run's exported metrics."""
+    from repro import obs
+    from repro.core.moped import config_for_variant
+    from repro.core.robots import get_robot
+    from repro.core.rrtstar import plan
+    from repro.workloads.generator import random_task
+
+    previous = obs.install(
+        obs.Tracer(enabled=False), obs.MetricsRegistry(enabled=True)
+    )
+    try:
+        task = random_task(robot_name, obstacles, seed=6)
+        config = config_for_variant("v1", max_samples=samples, seed=6,
+                                    wave_width=wave_width)
+        plan(get_robot(robot_name), task, config)
+        path = tmp_path / "run.prom"
+        obs.get_registry().export(path)
+    finally:
+        obs.restore(previous)
+    return report_from_files(metrics=str(path))
+
+
+class TestEdgeValidationPaths:
+    """``repro_cc_edge_validations_total{path}`` names the path that ran."""
+
+    def test_wave_run_populates_edge_validation_metrics(self, tmp_path):
+        """End to end: a wavefront run validates its waves' edges whole,
+        and the planner keeps no software result cache of its own."""
+        report = _planner_run_report(tmp_path, "mobile2d", 12, wave_width=8)
+        assert report["caches"] == {}
         validation = report["edge_validation"]
         assert validation["motion_checks"] > 0
         assert validation["by_path"].get("edge_kernel", 0) > 0
         assert validation["ladders_observed"] > 0
         assert validation["ladder_steps_mean"] > 1.0
+
+    def test_small_scene_single_edges_take_the_movement_path(self, tmp_path):
+        """mobile2d/8 (8 body-obstacle pairs) is below the crossover."""
+        report = _planner_run_report(tmp_path, "mobile2d", 8, wave_width=1)
+        paths = report["edge_validation"]["by_path"]
+        assert paths.get("movement", 0) > 0
+        assert "edge_kernel" not in paths
+
+    def test_arm_scene_single_edges_take_the_whole_edge_kernel(self, tmp_path):
+        """xarm7/32 (224 body-obstacle pairs) is above the crossover."""
+        report = _planner_run_report(tmp_path, "xarm7", 32, wave_width=1,
+                                     samples=40)
+        paths = report["edge_validation"]["by_path"]
+        assert paths.get("edge_kernel", 0) > 0
+        assert "movement" not in paths

@@ -15,7 +15,7 @@ import unittest
 
 from repro.faults import FaultPlan, clear, install_plan
 from repro.faults.recovery import verify_journal
-from repro.net.wire import request_from_wire
+from repro.net.wire import request_from_wire, request_to_wire
 from repro.service import PlanningService
 from repro.service.journal import JobJournal, scan_journal
 
@@ -128,6 +128,25 @@ class TestRecover(_RecoveryCase):
                     and r["kind"] == "done"]
         self.assertEqual(len(terminal), 1)
         self.assertEqual(terminal[0]["status"], "poison")
+        violations, _ = verify_journal(self.directory)
+        self.assertEqual(violations, [])
+
+    def test_admit_with_retired_cache_keys_replays_ok(self):
+        """An admit record written before the software result caches were
+        retired (its config still carries their keys) replays normally."""
+        request = _request("rc-old", seed=4)
+        payload = request_to_wire(request)
+        payload["config"].update(collision_cache=None, neighborhood_cache=None,
+                                 edge_cache=None, cache_quantum=0.0)
+        with JobJournal(self.directory, fsync="off") as crashed:
+            crashed.append("admit", request_id="rc-old",
+                           rhash=request.cache_key(), request=payload)
+        service = self.service()
+        summary = service.recover()
+        self.assertEqual(summary["replayed"], 1)
+        self.assertEqual(summary["invalid"], 0)
+        self.assertEqual([r.status for r in summary["responses"]], ["ok"])
+        service.close()
         violations, _ = verify_journal(self.directory)
         self.assertEqual(violations, [])
 

@@ -32,8 +32,8 @@ class RoundRecord:
             the repair step (speculative mode only).
         repaired: whether the repair step changed the speculated nearest
             neighbor.
-        wave_width: width of the wave this round was committed in (1 for
-            the scalar loop).
+        wave_width: width of the wave this round was committed in (1 at
+            ``PlannerConfig.wave_width = 1``).
         repaired_in_wave: the round's speculative wave result was discarded
             at commit time (an intra-wave conflict forced a scalar redo) —
             the wave-lane equivalent of a pipeline bubble.

@@ -16,17 +16,18 @@ Neighbors Buffer.  The repaired result is provably the true nearest
 neighbor, so planning outcomes are identical with and without speculation
 (a tested invariant mirroring the paper's "functionally equivalent" claim).
 
-Wavefront mode (``wave_width = W > 1``) turns that functional model into a
-throughput mechanism: each wave draws ``W`` samples at once, evaluates the
-nearest-neighbor distance matrix, speculative steering, and the collision
-check of every speculative edge as single batched kernel calls against a
-snapshot of the tree, then commits the samples *in order* with the exact
-scalar semantics of ``speculation_depth = W`` — a sample whose speculative
-result is invalidated by an intra-wave accept is repaired exactly like a
-pending-node miss.  Every counter event of the scalar round is replayed at
-commit time (batched arithmetic feeds verdicts, not counts), so paths,
-costs, and OpCounter totals are bit-identical to the scalar planner at the
-equivalent speculation depth.
+One loop serves every wave width ``W = wave_width``.  Each wave draws
+``W`` samples and commits them *in order*; at W = 1 that is the sequential
+loop above.  When W > 1 the wave first runs a speculative stage: it
+evaluates the nearest-neighbor distance matrix, speculative steering, and
+the collision check of every speculative edge as single batched kernel
+calls against a snapshot of the tree, and the commits follow the semantics
+of ``speculation_depth = W`` — a sample whose speculative result is
+invalidated by an intra-wave accept is repaired exactly like a
+pending-node miss.  Every counter event of a round is replayed at commit
+time (batched arithmetic feeds verdicts, not counts), so paths, costs, and
+OpCounter totals are bit-identical to W = 1 at the equivalent speculation
+depth.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ _MAINT_KINDS = ("enlargement", "mbr_update", "insert_direct", "split")
 
 
 class _RunState:
-    """Mutable bookkeeping shared by the scalar and wavefront run loops."""
+    """Mutable bookkeeping of one planner run: goals, rounds and budgets."""
 
     __slots__ = (
         "goal_nodes", "first_solution", "rounds", "cost_history",
         "best_known", "pending", "deadline", "op_budget", "degraded_reason",
-        "cancel",
+        "cancel", "armed",
     )
 
-    def __init__(self):
+    def __init__(self, config: PlannerConfig):
         self.goal_nodes: List[int] = []
         self.first_solution: Optional[int] = None
         self.rounds: List[RoundRecord] = []
@@ -75,25 +76,36 @@ class _RunState:
         # (round index, node id) pairs still "in flight" for speculation.
         self.pending: Deque[Tuple[int, int]] = deque()
         # Anytime-planning budgets: a monotonic wall deadline and a MAC
-        # budget.  None = disabled; both loops guard every check with a
-        # single `is not None` so absent budgets cost nothing and perturb
-        # neither RNG streams nor operation counts.
+        # budget.  None = disabled; the loops guard every poll with
+        # ``armed`` so absent budgets cost nothing and perturb neither RNG
+        # streams nor operation counts.
+        self.op_budget: Optional[float] = config.op_budget
         self.deadline: Optional[float] = None
-        self.op_budget: Optional[float] = None
+        if config.deadline_s is not None:
+            self.deadline = time.monotonic() + config.deadline_s
         self.degraded_reason: Optional[str] = None
         # Cooperative cancellation (portfolio racing): a zero-arg predicate
         # polled alongside the budgets.  None = no race in flight.
-        self.cancel = None
+        from repro.core import cancel as _cancel
+        self.cancel = _cancel.active()
+        self.armed = (self.deadline is not None or self.op_budget is not None
+                      or self.cancel is not None)
 
-    def budget_expired(self, counter) -> bool:
-        """Check budgets; records the degradation reason on expiry."""
+    def budget_expired(self, *counters: OpCounter) -> bool:
+        """Poll cancellation and budgets; records the reason on expiry.
+
+        The MAC total is the sum over ``counters`` (the committed counter,
+        plus the current round's sub-counter when polled mid-round).  Past
+        arming the deadline, this is the planners' only clock read.
+        """
         if self.cancel is not None and self.cancel():
             self.degraded_reason = "cancelled"
             return True
         if self.deadline is not None and time.monotonic() >= self.deadline:
             self.degraded_reason = "deadline"
             return True
-        if self.op_budget is not None and counter.total_macs() >= self.op_budget:
+        if (self.op_budget is not None
+                and sum(c.total_macs() for c in counters) >= self.op_budget):
             self.degraded_reason = "op_budget"
             return True
         return False
@@ -136,37 +148,31 @@ def build_parts(robot: RobotModel, task: PlanningTask, config: PlannerConfig):
     return checker, new_strategy, sampler
 
 
-class RRTStarPlanner:
-    """RRT\\* planner over a robot model and planning task."""
+class _PlannerLoop:
+    """What RRT\\* and RRT-Connect share around their run loops.
+
+    :meth:`plan` arms the run (budgets, cancellation, fault injector, the
+    ``plan`` trace span), calls the subclass's ``_run`` and turns its
+    outcome into a :class:`PlanResult` through ``_finish``.  Subclasses
+    plant their tree roots in ``_plant``.
+    """
+
+    #: Extra attributes of the ``plan`` trace span.
+    span_attrs: dict = {}
 
     def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
-        self.checker, new_strategy, self.sampler = build_parts(robot, task, config)
-        self.strategy = new_strategy()
+        self.checker, self._new_strategy, self.sampler = build_parts(robot, task, config)
         self.robot = robot
         self.task = task
         self.config = config
         self.step = config.resolved_step(robot.step_size)
-        self.goal_tolerance = config.resolved_goal_tolerance(robot.step_size)
-
-    # ------------------------------------------------------------------- plan
 
     def plan(self) -> PlanResult:
         """Run the sampling loop and return the planning outcome."""
-        config, robot, task = self.config, self.robot, self.task
-        dim = robot.dof
+        config, robot = self.config, self.robot
         counter = OpCounter()
-        tree = ExpTree(task.start)
-        self.strategy.insert(tree.root, task.start, counter=counter)
-        self.tree = tree
-
-        state = _RunState()
-        if config.op_budget is not None:
-            state.op_budget = config.op_budget
-        if config.deadline_s is not None:
-            state.deadline = time.monotonic() + config.deadline_s
-        from repro.core import cancel as _cancel
-        state.cancel = _cancel.active()
-        self._neighborhood_macs = 0.0
+        self._plant(counter)
+        state = _RunState(config)
         # Fault-injection front end (repro.faults): None in the steady
         # state, so the hot loops pay one is-None check per round.
         from repro.faults import get_injector
@@ -177,124 +183,182 @@ class RRTStarPlanner:
         self.checker._injector = self._injector
 
         # Observability front end: with tracing/metrics off this binds the
-        # dormant globals and every obs.phase() below is one attribute check.
+        # dormant globals and every obs.phase() is one attribute check.
         obs = PhaseRecorder()
         plan_started = obs.tracer.now()
         plan_span = obs.tracer.span(
             "plan",
             robot=robot.name,
-            dof=dim,
+            dof=robot.dof,
             checker=config.checker,
             strategy=config.neighbor_strategy,
             max_samples=config.max_samples,
             wave_width=config.wave_width,
+            **self.span_attrs,
         )
-
         with plan_span:
-            if config.wave_width > 1:
-                self._run_wave(tree, counter, obs, state)
-            else:
-                self._run_scalar(tree, counter, obs, state)
-
-        self._cost_history = state.cost_history
-        result = self._result(
-            tree, state.goal_nodes, state.first_solution, counter,
-            state.rounds, len(state.rounds),
-            degraded_reason=state.degraded_reason,
-        )
+            outcome = self._run(counter, obs, state)
+        result = self._finish(outcome, counter, state)
         if obs.registry.enabled:
             self._record_run_metrics(obs, result, counter, obs.tracer.now() - plan_started)
         return result
 
-    def _run_scalar(self, tree, counter, obs, state) -> None:
-        """One sample per round: the reference sequential loop."""
-        config, task, dim = self.config, self.task, self.robot.dof
-        pending = state.pending
-        injector = self._injector
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
-        for iteration in range(config.max_samples):
-            if check_budget and state.budget_expired(counter):
-                break
-            if injector is not None:
-                injector.fire("planner.round", detail=f"iteration {iteration}")
-            snapshot = counter.snapshot()
-            with obs.phase("sample", counter):
-                x_rand = self.sampler.sample_biased(
-                    task.goal, config.goal_bias, counter=counter
-                )
+    def _steer(self, origin: np.ndarray, target: np.ndarray, dist: float) -> np.ndarray:
+        """Move from ``origin`` toward ``target`` by at most one step."""
+        if dist <= self.step:
+            return target.copy()
+        return origin + (self.step / dist) * (target - origin)
 
-            nearest_key, nearest_point, nearest_dist, missing_used, repaired = (
-                self._nearest_with_repair(tree, x_rand, pending, counter, obs)
-            )
+    def _best_so_far(self, tree):
+        """Anytime best-so-far path of a degraded run and its goal gap.
 
-            accepted = False
-            node_id: Optional[int] = None
-            if nearest_dist > 1e-12:
-                with obs.phase("steer", counter):
-                    counter.record("steer", dim=dim)
-                    x_new = self._steer(nearest_point, x_rand, nearest_dist)
-                if injector is not None:
-                    injector.fire("planner.collision")
-                with obs.phase("collision", counter):
-                    blocked = self.checker.motion_in_collision(
-                        nearest_point, x_new, counter=counter
-                    )
-                if not blocked:
-                    with obs.phase("rewire", counter):
-                        node_id = self._extend(
-                            tree, x_new, nearest_key, nearest_point, counter
-                        )
-                    accepted = True
-                    self._after_accept(tree, node_id, x_new, iteration, state)
+        Every tree edge was collision checked at insertion, so the path to
+        ANY node is a valid collision-free prefix.  Returns the one
+        minimizing cost-to-come plus the straight-line remainder to the
+        goal (the classic anytime heuristic), with that remainder.
+        """
+        remainder = np.linalg.norm(tree.points_view() - self.task.goal[None, :], axis=1)
+        best_node = int(np.argmin(tree.costs_view() + remainder))
+        return tree.path_to(best_node), float(remainder[best_node])
 
-            state.rounds.append(
-                self._round_record(counter.diff(snapshot), accepted, missing_used, repaired)
-            )
+    @staticmethod
+    def _replay_motion(result, counter) -> bool:
+        """Commit a speculatively validated edge from its stored result.
 
-            if accepted and config.speculation_depth > 0:
-                pending.append((iteration, node_id))
-            while pending and pending[0][0] <= iteration - config.speculation_depth:
-                pending.popleft()
+        Mirrors :meth:`~repro.core.collision.CollisionChecker.
+        motion_in_collision`: one motion-query metric, then the whole-edge
+        verdict with its captured counter events merged in.
+        """
+        bump("repro_cc_motion_checks_total",
+             help="Motion (edge) collision queries issued")
+        verdict, events = result
+        counter.merge(events)
+        return verdict
 
-            if config.stop_on_goal and state.first_solution is not None:
-                break
+    @staticmethod
+    def _record_run_metrics(obs, result, counter, elapsed_s: float) -> None:
+        """Run-level metrics: plan count/latency and Fig-3 MAC categories."""
+        registry = obs.registry
+        registry.counter("repro_plans_total", "Completed planning runs").inc(
+            outcome="success" if result.success else "failure"
+        )
+        registry.counter("repro_plan_rounds_total", "Sampling rounds executed").inc(
+            result.iterations
+        )
+        registry.histogram(
+            "repro_plan_seconds", "End-to-end planner wall time"
+        ).observe(elapsed_s)
+        for category, macs in counter.macs_by_category().items():
+            registry.counter(
+                "repro_macs_total", "MAC-equivalents by cost-model category"
+            ).inc(macs, category=category)
 
-    def _run_wave(self, tree, counter, obs, state) -> None:
-        """Wavefront loop: W samples per wave through batched kernels.
+    @staticmethod
+    def _round_record(diff: OpCounter, accepted, missing_used=0, repaired=False,
+                      wave_width: int = 1, repaired_in_wave: bool = False) -> RoundRecord:
+        loads = {"ns": 0.0, "cc": 0.0, "maint": 0.0, "other": 0.0}
+        for kind, macs in diff.macs.items():
+            if kind in _NS_KINDS:
+                loads["ns"] += macs
+            elif kind in _CC_KINDS:
+                loads["cc"] += macs
+            elif kind in _MAINT_KINDS:
+                loads["maint"] += macs
+            else:
+                loads["other"] += macs
+        return RoundRecord(
+            ns_macs=loads["ns"],
+            cc_macs=loads["cc"],
+            maint_macs=loads["maint"],
+            other_macs=loads["other"],
+            accepted=accepted,
+            missing_used=missing_used,
+            repaired=repaired,
+            events=dict(diff.events),
+            wave_width=wave_width,
+            repaired_in_wave=repaired_in_wave,
+        )
 
-        Stage 1 (speculative, batched): against a snapshot of the tree, the
-        wave's nearest-neighbor lookups run as one distance-matrix einsum,
-        each sample's speculative ``x_new`` is steered, and every
-        speculative edge is validated whole — one ladder construction, one
-        FK batch, one stacked kernel pass — through a single
-        :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
-        call.  Each sample only sees the tree prefix the scalar planner at
-        ``speculation_depth = W`` would see (pending rounds are blinded).
 
-        Stage 2 (commit, in sample order): each sample replays the scalar
-        round — nearest + missing-neighbors repair, steer, collision,
-        extend — into its own sub-counter.  When the committed nearest
-        matches the speculation, the edge's verdict and captured counter
-        events are replayed from the batched stage; otherwise (an intra-wave
-        conflict repaired the nearest) the edge is re-checked scalar-wise,
-        exactly like a speculation miss in the hardware pipeline.  Because
-        all cost-model weights are integers, merging the sub-counters
-        reproduces the scalar counter totals bit-for-bit.
+class _Speculation:
+    """Stage-1 results of one RRT\\* wave, read by the in-order commit."""
+
+    __slots__ = ("points", "n0", "d_sq", "base_key", "pre_dist",
+                 "key", "new", "results")
+
+    def __init__(self, points, n0, d_sq, width):
+        self.points = points
+        self.n0 = n0
+        self.d_sq = d_sq
+        self.base_key = [0] * width
+        self.pre_dist = [0.0] * width
+        self.key = [0] * width
+        self.new: List[Optional[np.ndarray]] = [None] * width
+        #: Per-sample whole-edge (verdict, events) for the commit replay.
+        self.results: List[Optional[tuple]] = [None] * width
+
+
+class RRTStarPlanner(_PlannerLoop):
+    """RRT\\* planner over a robot model and planning task."""
+
+    def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
+        super().__init__(robot, task, config)
+        self.strategy = self._new_strategy()
+        self.goal_tolerance = config.resolved_goal_tolerance(robot.step_size)
+
+    # ------------------------------------------------------------------- plan
+
+    def _plant(self, counter) -> None:
+        self.tree = ExpTree(self.task.start)
+        self.strategy.insert(self.tree.root, self.task.start, counter=counter)
+        self._neighborhood_macs = 0.0
+
+    def _finish(self, outcome, counter, state) -> PlanResult:
+        self._cost_history = state.cost_history
+        return self._result(
+            self.tree, state.goal_nodes, state.first_solution, counter,
+            state.rounds, len(state.rounds),
+            degraded_reason=state.degraded_reason,
+        )
+
+    def _run(self, counter, obs, state) -> None:
+        """The planner loop: ``W = wave_width`` samples per wave.
+
+        Stage 1 (only when W > 1; speculative, batched): against a snapshot
+        of the tree, the wave's nearest-neighbor lookups run as one
+        distance-matrix einsum, each sample's speculative ``x_new`` is
+        steered, and every speculative edge is validated whole — one ladder
+        construction, one FK batch, one stacked kernel pass — through a
+        single :meth:`~repro.core.collision.CollisionChecker.
+        motion_results_batch` call (see :meth:`_speculate`).
+
+        Stage 2 (commit, in sample order): each sample runs the round —
+        nearest + missing-neighbors repair, steer, collision, extend — into
+        its own sub-counter.  When the committed nearest matches the
+        speculation, the edge's verdict and captured counter events are
+        replayed from the batched stage; otherwise (an intra-wave conflict
+        repaired the nearest, or W = 1) the edge is checked directly, like
+        a speculation miss in the hardware pipeline.  Because all
+        cost-model weights are integers, merging the sub-counters
+        reproduces the W = 1 counter totals bit-for-bit.
+
+        Nodes stay pending (blinded from the index search and compared by
+        the repair step) for ``W`` rounds when W > 1, else for
+        ``config.speculation_depth`` rounds.
         """
         config, task, dim = self.config, self.task, self.robot.dof
+        tree = self.tree
         width_cfg = config.wave_width
+        speculate = width_cfg > 1
+        depth = width_cfg if speculate else config.speculation_depth
         pending = state.pending
-        linear = getattr(self.strategy, "linear_scan", False)
         injector = self._injector
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
         start = 0
         while start < config.max_samples:
-            if check_budget and state.budget_expired(counter):
+            if state.armed and state.budget_expired(counter):
                 break
             if injector is not None:
-                injector.fire("planner.round", detail=f"wave at {start}")
+                injector.fire("planner.round", detail=f"iteration {start}")
             width = min(width_cfg, config.max_samples - start)
             subs = [OpCounter() for _ in range(width)]
             xs = np.empty((width, dim), dtype=float)
@@ -303,109 +367,17 @@ class RRTStarPlanner:
                     xs[j] = self.sampler.sample_biased(
                         task.goal, config.goal_bias, counter=subs[j]
                     )
+            spec = None
+            if speculate:
+                spec = self._speculate(xs, width, start, depth, pending, obs)
 
-            # ---------------- stage 1: speculative batched evaluation
-            n0 = len(tree)
-            points = tree.points_view()
-            pend_rounds = [r for r, _ in pending]
-            # Entering round start+j the scalar loop has popped rounds
-            # <= start+j-1-W, so the blinded suffix is rounds >= start+j-W;
-            # node ids are insertion-ordered, hence the visible set is a
-            # prefix of the snapshot.
-            limits = [
-                n0 - sum(1 for r in pend_rounds if r >= start + j - width_cfg)
-                for j in range(width)
-            ]
-            base_key = [0] * width
-            spec_key = [0] * width
-            spec_new: List[Optional[np.ndarray]] = [None] * width
-            #: Per-sample whole-edge (verdict, events) for the commit replay.
-            spec_results: List[Optional[tuple]] = [None] * width
-            with obs.tracer.span("wave", width=width, nodes=n0):
-                diffs = points[None, :, :] - xs[:, None, :]
-                d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
-                seg_starts = []
-                seg_ends = []
-                seg_js = []
-                pre_key = [0] * width
-                pre_dist = [0.0] * width
-                for j in range(width):
-                    k = int(np.argmin(d_sq[j, : limits[j]]))
-                    base_key[j] = k
-                    if linear:
-                        # Matches BruteForceIndex: sqrt of the einsum row.
-                        dist = float(np.sqrt(d_sq[j, k]))
-                    else:
-                        # Matches SIMBRTree's per-point distance arithmetic.
-                        dist = float(
-                            np.sqrt(float(np.sum((points[k] - xs[j]) ** 2)))
-                        )
-                    # Predict the POST-repair nearest among the snapshot:
-                    # replay the repair scan against the pending entries
-                    # that will still be in flight at this sample's commit
-                    # (bitwise the same arithmetic the commit-time repair
-                    # performs).  The matrix distance prunes entries that
-                    # provably cannot win (it agrees with the scalar norm
-                    # to a few ulp, dwarfed by the 1e-9 relative margin).
-                    cut = start + j - width_cfg
-                    bound = dist * dist * (1.0 + 1e-9)
-                    for r, pkey in pending:
-                        if r >= cut and d_sq[j, pkey] <= bound:
-                            pdist = float(np.linalg.norm(points[pkey] - xs[j]))
-                            if pdist < dist:
-                                k, dist = pkey, pdist
-                                bound = dist * dist * (1.0 + 1e-9)
-                    pre_key[j] = k
-                    pre_dist[j] = dist
-                    if dist > 1e-12:
-                        x_new = self._steer(points[k], xs[j], dist)
-                        spec_new[j] = x_new
-                        seg_starts.append(points[k])
-                        seg_ends.append(x_new)
-                        seg_js.append(j)
-                batch1: dict = {}
-                if seg_js:
-                    edge_results = self.checker.motion_results_batch(
-                        np.stack(seg_starts), np.stack(seg_ends)
-                    )
-                    for j, res in zip(seg_js, edge_results):
-                        batch1[j] = res
-                self._simulate_commit(
-                    xs, width, n0, pre_key, pre_dist, points,
-                    spec_key, spec_new, spec_results, batch1,
-                )
-
-            # ---------------- stage 2: in-order commit with repair
-            stop = False
-            for j in range(width):
+            for j, sub in enumerate(subs):
                 iteration = start + j
-                sub = subs[j]
                 x_rand = xs[j]
-                if linear:
-                    # The committed visible set equals the speculative
-                    # prefix (intra-wave accepts are all still pending), so
-                    # the matrix row IS the exact scalar scan result.
-                    with obs.phase("nearest", sub):
-                        self.strategy.count_nearest(sub)
-                    k = base_key[j]
-                    nearest_key, nearest_point = k, points[k].copy()
-                    nearest_dist = float(np.sqrt(d_sq[j, k]))
-                    missing_used = 0
-                    repaired = False
-                    if pending:
-                        with obs.phase("repair", sub, entries=len(pending)):
-                            (nearest_key, nearest_point, nearest_dist,
-                             missing_used, repaired) = self._repair(
-                                tree, x_rand, pending, sub,
-                                nearest_key, nearest_point, nearest_dist,
-                                d_sq_row=d_sq[j], snapshot_len=n0,
-                            )
-                else:
-                    (nearest_key, nearest_point, nearest_dist,
-                     missing_used, repaired) = self._nearest_with_repair(
-                        tree, x_rand, pending, sub, obs,
-                        d_sq_row=d_sq[j], snapshot_len=n0,
-                    )
+                (nearest_key, nearest_point, nearest_dist,
+                 missing_used, repaired) = self._nearest_with_repair(
+                    tree, x_rand, pending, sub, obs, spec, j,
+                )
 
                 accepted = False
                 node_id: Optional[int] = None
@@ -414,16 +386,17 @@ class RRTStarPlanner:
                     with obs.phase("steer", sub):
                         sub.record("steer", dim=dim)
                         x_new = self._steer(nearest_point, x_rand, nearest_dist)
-                    spec = spec_new[j]
                     used_spec = (
                         spec is not None
-                        and spec_results[j] is not None
-                        and nearest_key == spec_key[j]
-                        and np.array_equal(x_new, spec)
+                        and spec.results[j] is not None
+                        and nearest_key == spec.key[j]
+                        and np.array_equal(x_new, spec.new[j])
                     )
+                    if injector is not None:
+                        injector.fire("planner.collision")
                     with obs.phase("collision", sub):
                         if used_spec:
-                            blocked = self._replay_motion(spec_results[j], sub)
+                            blocked = self._replay_motion(spec.results[j], sub)
                         else:
                             blocked = self.checker.motion_in_collision(
                                 nearest_point, x_new, counter=sub
@@ -440,31 +413,102 @@ class RRTStarPlanner:
                     self._round_record(
                         sub, accepted, missing_used, repaired,
                         wave_width=width,
-                        repaired_in_wave=pre_dist[j] > 1e-12 and not used_spec,
+                        repaired_in_wave=(spec is not None and not used_spec
+                                          and spec.pre_dist[j] > 1e-12),
                     )
                 )
 
-                if accepted:
+                if accepted and depth > 0:
                     pending.append((iteration, node_id))
-                while pending and pending[0][0] <= iteration - width_cfg:
+                while pending and pending[0][0] <= iteration - depth:
                     pending.popleft()
 
                 counter.merge(sub)
 
                 if config.stop_on_goal and state.first_solution is not None:
-                    stop = True
-                    break
-            if stop:
-                break
+                    return
             start += width
 
-    def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points,
-                         spec_key, spec_new, spec_results, batch1):
+    def _speculate(self, xs, width, start, depth, pending, obs) -> _Speculation:
+        """Stage 1: speculate every sample of the wave against a snapshot.
+
+        Each sample only sees the tree prefix the W = 1 planner at
+        ``speculation_depth = W`` would see (pending rounds are blinded);
+        its post-repair nearest is predicted, its edge steered, and every
+        speculative edge validated in one batched call.  Intra-wave
+        accepts are then folded in by :meth:`_simulate_commit`.
+        """
+        tree = self.tree
+        linear = getattr(self.strategy, "linear_scan", False)
+        n0 = len(tree)
+        points = tree.points_view()
+        pend_rounds = [r for r, _ in pending]
+        # Entering round start+j the W = 1 loop has popped rounds
+        # <= start+j-1-W, so the blinded suffix is rounds >= start+j-W;
+        # node ids are insertion-ordered, hence the visible set is a
+        # prefix of the snapshot.
+        limits = [
+            n0 - sum(1 for r in pend_rounds if r >= start + j - depth)
+            for j in range(width)
+        ]
+        with obs.tracer.span("wave", width=width, nodes=n0):
+            diffs = points[None, :, :] - xs[:, None, :]
+            d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
+            spec = _Speculation(points, n0, d_sq, width)
+            seg_starts = []
+            seg_ends = []
+            seg_js = []
+            pre_key = [0] * width
+            for j in range(width):
+                k = int(np.argmin(d_sq[j, : limits[j]]))
+                spec.base_key[j] = k
+                if linear:
+                    # Matches BruteForceIndex: sqrt of the einsum row.
+                    dist = float(np.sqrt(d_sq[j, k]))
+                else:
+                    # Matches SIMBRTree's per-point distance arithmetic.
+                    dist = float(
+                        np.sqrt(float(np.sum((points[k] - xs[j]) ** 2)))
+                    )
+                # Predict the POST-repair nearest among the snapshot:
+                # replay the repair scan against the pending entries
+                # that will still be in flight at this sample's commit
+                # (bitwise the same arithmetic the commit-time repair
+                # performs).  The matrix distance prunes entries that
+                # provably cannot win (it agrees with the scalar norm
+                # to a few ulp, dwarfed by the 1e-9 relative margin).
+                cut = start + j - depth
+                bound = dist * dist * (1.0 + 1e-9)
+                for r, pkey in pending:
+                    if r >= cut and d_sq[j, pkey] <= bound:
+                        pdist = float(np.linalg.norm(points[pkey] - xs[j]))
+                        if pdist < dist:
+                            k, dist = pkey, pdist
+                            bound = dist * dist * (1.0 + 1e-9)
+                pre_key[j] = k
+                spec.pre_dist[j] = dist
+                if dist > 1e-12:
+                    x_new = self._steer(points[k], xs[j], dist)
+                    spec.new[j] = x_new
+                    seg_starts.append(points[k])
+                    seg_ends.append(x_new)
+                    seg_js.append(j)
+            batch1: dict = {}
+            if seg_js:
+                edge_results = self.checker.motion_results_batch(
+                    np.stack(seg_starts), np.stack(seg_ends)
+                )
+                for j, res in zip(seg_js, edge_results):
+                    batch1[j] = res
+            self._simulate_commit(xs, spec, pre_key, batch1)
+        return spec
+
+    def _simulate_commit(self, xs, spec, pre_key, batch1):
         """Fold intra-wave accepts into the speculation (two sim passes).
 
         The pre-pass speculation only sees the tree snapshot, so a sample
         whose true nearest is a node accepted *earlier in the same wave*
-        would miss at commit and fall back to a scalar collision check.
+        would miss at commit and fall back to a direct collision check.
         This walks the commit order ahead of time:
 
         * Pass A predicts each sample's acceptance from the batch-1
@@ -473,21 +517,24 @@ class RRTStarPlanner:
           second :meth:`~repro.core.collision.CollisionChecker.
           motion_results_batch` call.
         * Pass B re-walks the chain with both verdict sets and fixes the
-          final per-sample speculation (``spec_key``/``spec_new``/
-          ``spec_results``), predicting intra-wave node ids from the
+          final per-sample speculation (``spec.key``/``spec.new``/
+          ``spec.results``), predicting intra-wave node ids from the
           insertion order.
 
         The simulation uses bitwise the same steering and distance
         arithmetic as the commit, so its predictions are exact unless a
         re-steered edge's own acceptance was mispredicted (third-order
         conflicts); any misprediction surfaces only as a commit-time
-        speculation miss — the scalar fallback — never as a wrong result.
+        speculation miss — the direct check — never as a wrong result.
 
         Both passes prefilter with squared-distance matrices to the
         candidate accept points (one stacked einsum per candidate set);
         the exact scalar norm runs only on entries inside the 1e-9
         relative margin, which dwarfs the few-ulp matrix/norm divergence.
         """
+        width, n0, points = len(xs), spec.n0, spec.points
+        pre_dist, spec_key = spec.pre_dist, spec.key
+        spec_new, spec_results = spec.new, spec.results
         cand_idx = [j for j in range(width) if spec_new[j] is not None]
         if not cand_idx:
             for j in range(width):
@@ -574,21 +621,8 @@ class RRTStarPlanner:
             if results is not None and not results[0]:
                 accepts.append((in_b, col, spec_new[j]))
 
-    def _replay_motion(self, result, counter) -> bool:
-        """Commit a speculatively validated edge from its stored result.
-
-        Mirrors :meth:`~repro.core.collision.CollisionChecker.
-        motion_in_collision`: one motion-query metric, then the whole-edge
-        verdict with its captured counter events merged in.
-        """
-        bump("repro_cc_motion_checks_total",
-             help="Motion (edge) collision queries issued")
-        verdict, events = result
-        counter.merge(events)
-        return verdict
-
     def _after_accept(self, tree, node_id, x_new, iteration, state) -> None:
-        """Goal bookkeeping for an accepted sample (shared by both loops)."""
+        """Goal bookkeeping for an accepted sample."""
         task = self.task
         if float(np.linalg.norm(x_new - task.goal)) <= self.goal_tolerance:
             state.goal_nodes.append(node_id)
@@ -605,41 +639,35 @@ class RRTStarPlanner:
             if isinstance(self.sampler, InformedSampler):
                 self.sampler.update_best_cost(best)
 
-    def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
-        """Run-level metrics: plan count/latency and Fig-3 MAC categories."""
-        registry = obs.registry
-        registry.counter("repro_plans_total", "Completed planning runs").inc(
-            outcome="success" if result.success else "failure"
-        )
-        registry.counter("repro_plan_rounds_total", "Sampling rounds executed").inc(
-            result.iterations
-        )
-        registry.histogram(
-            "repro_plan_seconds", "End-to-end planner wall time"
-        ).observe(elapsed_s)
-        for category, macs in counter.macs_by_category().items():
-            registry.counter(
-                "repro_macs_total", "MAC-equivalents by cost-model category"
-            ).inc(macs, category=category)
-
     # -------------------------------------------------------------- internals
 
-    def _nearest_with_repair(self, tree, x_rand, pending, counter, obs=None,
-                             d_sq_row=None, snapshot_len=0):
+    def _nearest_with_repair(self, tree, x_rand, pending, counter, obs, spec, j):
         """Speculated nearest-neighbor search plus the repair step.
 
         Without speculation this is a plain exact search.  With speculation,
         the index search cannot see the pending (in-flight) node ids; the
         repair step then reads each pending node from the Missing Neighbors
         Buffer and keeps whichever candidate is truly nearest.
+
+        Given its wave's stage-1 ``spec``, sample ``j`` reuses the
+        distance-matrix row: a linear-scan index takes its search result
+        from it (the committed visible set equals the speculative prefix,
+        since intra-wave accepts are all still pending, so the row IS the
+        exact scan), and the repair prunes with it.
         """
-        if obs is None:
-            obs = PhaseRecorder()
-        exclude = {key for _, key in pending} if pending else None
-        with obs.phase("nearest", counter):
-            found = self.strategy.nearest(x_rand, counter=counter, exclude=exclude)
-        assert found is not None, "tree root can never be excluded"
-        nearest_key, nearest_point, nearest_dist = found
+        d_sq_row = None if spec is None else spec.d_sq[j]
+        if spec is not None and getattr(self.strategy, "linear_scan", False):
+            with obs.phase("nearest", counter):
+                self.strategy.count_nearest(counter)
+            nearest_key = spec.base_key[j]
+            nearest_point = spec.points[nearest_key].copy()
+            nearest_dist = float(np.sqrt(d_sq_row[nearest_key]))
+        else:
+            exclude = {key for _, key in pending} if pending else None
+            with obs.phase("nearest", counter):
+                found = self.strategy.nearest(x_rand, counter=counter, exclude=exclude)
+            assert found is not None, "tree root can never be excluded"
+            nearest_key, nearest_point, nearest_dist = found
         missing_used = 0
         repaired = False
         if pending:
@@ -648,7 +676,8 @@ class RRTStarPlanner:
                  missing_used, repaired) = self._repair(
                     tree, x_rand, pending, counter,
                     nearest_key, nearest_point, nearest_dist,
-                    d_sq_row=d_sq_row, snapshot_len=snapshot_len,
+                    d_sq_row=d_sq_row,
+                    snapshot_len=0 if spec is None else spec.n0,
                 )
         return nearest_key, nearest_point, nearest_dist, missing_used, repaired
 
@@ -658,8 +687,8 @@ class RRTStarPlanner:
         """Missing-neighbors repair: compare against every pending node.
 
         Every pending entry is charged its buffer read and distance (the
-        hardware always performs them), but when the wavefront planner
-        supplies its precomputed squared-distance row the actual norm is
+        hardware always performs them), but when a wave's stage 1
+        supplied its precomputed squared-distance row the actual norm is
         skipped for snapshot entries that provably cannot beat the current
         nearest — the matrix agrees with the scalar norm to a few ulp,
         dwarfed by the 1e-9 relative margin, so the selected neighbor is
@@ -687,12 +716,6 @@ class RRTStarPlanner:
                 if d_sq_row is not None:
                     bound = nearest_dist * nearest_dist * (1.0 + 1e-9)
         return nearest_key, nearest_point, nearest_dist, missing_used, repaired
-
-    def _steer(self, origin: np.ndarray, target: np.ndarray, dist: float) -> np.ndarray:
-        """Move from ``origin`` toward ``target`` by at most one step."""
-        if dist <= self.step:
-            return target.copy()
-        return origin + (self.step / dist) * (target - origin)
 
     def _extend(self, tree, x_new, nearest_key, nearest_point, counter):
         """Choose-parent + insert + rewire for an accepted sample.
@@ -758,32 +781,6 @@ class RRTStarPlanner:
             current = tree.parent(current)
         return False
 
-    @staticmethod
-    def _round_record(diff: OpCounter, accepted, missing_used, repaired,
-                      wave_width: int = 1, repaired_in_wave: bool = False) -> RoundRecord:
-        loads = {"ns": 0.0, "cc": 0.0, "maint": 0.0, "other": 0.0}
-        for kind, macs in diff.macs.items():
-            if kind in _NS_KINDS:
-                loads["ns"] += macs
-            elif kind in _CC_KINDS:
-                loads["cc"] += macs
-            elif kind in _MAINT_KINDS:
-                loads["maint"] += macs
-            else:
-                loads["other"] += macs
-        return RoundRecord(
-            ns_macs=loads["ns"],
-            cc_macs=loads["cc"],
-            maint_macs=loads["maint"],
-            other_macs=loads["other"],
-            accepted=accepted,
-            missing_used=missing_used,
-            repaired=repaired,
-            events=dict(diff.events),
-            wave_width=wave_width,
-            repaired_in_wave=repaired_in_wave,
-        )
-
     def _result(self, tree, goal_nodes, first_solution, counter, rounds, iterations,
                 *, degraded_reason: Optional[str] = None):
         task = self.task
@@ -840,18 +837,8 @@ class RRTStarPlanner:
         path: List[np.ndarray] = []
         goal_distance = None
         if degraded_reason is not None and len(tree) > 0:
-            # Anytime best-so-far: every tree edge was collision checked at
-            # insertion, so the path to ANY node is a valid collision-free
-            # prefix.  Return the one minimizing cost-to-come plus the
-            # straight-line remainder to the goal (the classic anytime
-            # heuristic), leaving path_cost at inf — the goal was not
-            # reached, only approached.
-            points = tree.points_view()
-            remainder = np.linalg.norm(points - task.goal[None, :], axis=1)
-            score = tree.costs_view() + remainder
-            best_node = int(np.argmin(score))
-            path = tree.path_to(best_node)
-            goal_distance = float(remainder[best_node])
+            # The goal was not reached, only approached: path_cost stays inf.
+            path, goal_distance = self._best_so_far(tree)
         return PlanResult(
             success=False,
             path=path,

@@ -72,7 +72,7 @@ SITES = (
     "worker.send",       # worker: transport faults on the result send
     "pool.dispatch",     # supervisor: before writing a job to a worker pipe
     "pool.recv",         # supervisor: after reading a result off a pipe
-    "planner.round",     # planner: top of each scalar iteration / wave
+    "planner.round",     # planner: top of each wave (each round at W=1)
     "planner.collision", # planner: inside the collision-checker wrapper
     "edge.validate",     # checker: per whole-edge motion validation
     "connect.extend",    # RRT-Connect: per greedy-connect segment/chunk

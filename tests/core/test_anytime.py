@@ -1,5 +1,5 @@
 """Anytime planning: deadline/op-budget degradation and the no-budget
-bit-identity contract, in both the scalar and wavefront loops."""
+bit-identity contract, at wave widths 1 and 8."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.core.robots import get_robot
 from repro.core.rrtstar import plan
 from repro.io import result_from_dict, result_to_dict
 from repro.workloads.generator import random_task
+from tests.clock import install_step_clock
 
 
 def _plan(variant="v4", robot="mobile2d", seed=2, samples=200, obstacles=8,
@@ -89,13 +90,14 @@ class TestOpBudgetDegradation:
 
 
 class TestDeadlineDegradation:
-    def test_tiny_deadline_degrades_with_best_so_far(self):
-        # 50k samples cannot finish inside 50 ms, so the wall deadline is
-        # guaranteed to expire mid-run.
+    def test_tiny_deadline_degrades_with_best_so_far(self, monkeypatch):
+        # One clock read arms the deadline and one polls each round, so
+        # 0.05 s at 0.1 ms per read expires at round 499 on any host.
+        install_step_clock(monkeypatch, 1e-4)
         task, result = _plan(samples=50_000, deadline_s=0.05)
         assert result.status == "degraded"
         assert result.degraded_reason == "deadline"
-        assert result.iterations < 50_000
+        assert result.iterations == 499
         assert len(result.path) >= 1
 
     def test_deadline_wins_when_both_budgets_armed(self):

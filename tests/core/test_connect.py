@@ -10,6 +10,7 @@ from repro.core.robots import get_robot
 from repro.core.rrtstar import RRTStarPlanner
 from repro.core.world import Environment, PlanningTask
 from repro.workloads import random_task
+from tests.clock import install_step_clock
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,10 @@ class TestBudgets:
     """Connect honors the PR 5 anytime budgets and race cancellation."""
 
     @pytest.mark.parametrize("width", [1, 8])
-    def test_deadline_degrades(self, width):
+    def test_deadline_degrades(self, monkeypatch, width):
+        # 0.1 ms per clock read: arming plus the round and greedy-connect
+        # chunk polls use up 0.05 s in round 356 at every width.
+        install_step_clock(monkeypatch, 1e-4)
         task = boxed_in_task()
         result = connect_plan(
             task,
@@ -153,8 +157,31 @@ class TestBudgets:
         )
         assert result.status == "degraded"
         assert result.degraded_reason == "deadline"
-        assert result.iterations < 1_000_000
+        assert result.iterations == 356
         assert not result.success
+
+    @pytest.mark.parametrize(
+        "budget", [{"op_budget": 20_000.0}, {"deadline_s": 0.02}],
+        ids=["op_budget", "deadline"],
+    )
+    def test_expiry_is_identical_across_widths(self, monkeypatch, budget):
+        # Each round polls against the committed MACs before it commits,
+        # and a wider wave drops the expired round's already drawn sample,
+        # so every width stops at the same round with the same counter.
+        task = boxed_in_task()
+        runs = []
+        for width in (1, 2, 8):
+            install_step_clock(monkeypatch, 1e-4)
+            runs.append(connect_plan(
+                task,
+                config=moped_config("v4", max_samples=100_000, seed=2,
+                                    wave_width=width, mode="connect",
+                                    **budget),
+            ))
+        assert runs[0].status == "degraded"
+        for other in runs[1:]:
+            assert other.degraded_reason == runs[0].degraded_reason
+            _assert_plans_bit_equal(runs[0], other)
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_op_budget_degrades(self, width):

@@ -10,6 +10,7 @@ from repro.core.moped import config_for_variant
 from repro.service import PlanningService, build_requests
 from repro.service.request import PlanResponse
 from repro.workloads import random_task
+from tests.clock import install_step_clock
 from tests.service.test_request import make_request
 
 
@@ -99,27 +100,14 @@ class TestBuildRequestsDeadline:
         assert all(r.config.deadline_s is None for r in requests)
 
 
-class _StepClock:
-    """Fake monotonic clock: every read advances it by a fixed step."""
-
-    def __init__(self, step: float) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def monotonic(self) -> float:
-        self.now += self.step
-        return self.now
-
-
 class TestCliDeadline:
     def test_single_plan_reports_degradation(self, capsys, monkeypatch):
         from repro.cli import main
-        from repro.core import rrtstar
 
         # The planner reads the clock once to arm the deadline and once
         # per sample, so 0.05 s at 0.1 ms per read always stops after
         # the same 499 samples — with a path — on any host.
-        monkeypatch.setattr(rrtstar, "time", _StepClock(1e-4))
+        install_step_clock(monkeypatch, 1e-4)
         code = main(["--robot", "mobile2d", "--obstacles", "6",
                      "--samples", "50000", "--seed", "1",
                      "--deadline", "0.05"])
